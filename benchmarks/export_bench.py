@@ -263,28 +263,16 @@ def bench_metrics_overhead() -> dict:
     }
 
 
-def _run_fan_in(parallel: str, workers: int = 0, servers: int = 150,
-                senders: int = 12, count: int = 40):
-    """The s=150 fan-in workload of the parallel-speedup bench: one
-    open-loop sender per (roughly) leaf domain, all converging on a
-    single sink across the bus-of-domains — heavy per-shard stamping and
-    channel work, constant cross-shard traffic through every window."""
-    from repro.mom.config import BusConfig
-    from repro.mom.parallel import ShardedBus, make_bus
+def _run_fan_in_bus(servers: int = 150, senders: int = 12, count: int = 40):
+    """The s=150 fan-in workload: one open-loop sender per (roughly) leaf
+    domain, all converging on a single sink across the bus-of-domains —
+    heavy stamping and channel work with constant router traffic."""
+    from repro.mom import BusConfig, MessageBus
     from repro.mom.workloads import OpenLoopDriver, SinkAgent
     from repro.topology import builders
 
     topology = builders.bus(servers)
-    bus = make_bus(
-        BusConfig(
-            topology=topology, seed=5, parallel=parallel, workers=workers
-        )
-    )
-    if parallel == "auto" and not isinstance(bus, ShardedBus):
-        raise SystemExit(
-            "parallel-speedup bench: the fan-in workload was expected to "
-            "be shard-eligible but fell back to sequential"
-        )
+    bus = MessageBus(BusConfig(topology=topology, seed=5))
     sink_server = topology.servers[-1]
     sink = SinkAgent()
     sink_id = bus.deploy(sink, sink_server)
@@ -302,75 +290,14 @@ def _run_fan_in(parallel: str, workers: int = 0, servers: int = 150,
     return bus, sink
 
 
-def bench_parallel_speedup(workers: int = 4) -> dict:
-    """Wall-clock of the sharded kernel vs sequential on the s=150
-    fan-in, with the bit-identity contract enforced: the two runs must
-    produce byte-identical cost snapshots and delivery counts, or the
-    bench aborts. The speedup ratio itself is only recorded on hosts
-    with at least ``workers`` CPUs — a 1-core container can verify
-    identity but cannot honestly measure parallel speedup."""
-    sequential_s, (seq_bus, seq_sink) = _time(
-        lambda: _run_fan_in("off"), repeat=2
-    )
-    sharded_s, (par_bus, par_sink) = _time(
-        lambda: _run_fan_in("auto", workers=workers), repeat=2
-    )
-    seq_obs = (
-        round(seq_bus.sim.now, 6),
-        seq_sink.received,
-        json.dumps(seq_bus.cost_snapshot(), sort_keys=True),
-    )
-    par_obs = (
-        round(par_bus.sim.now, 6),
-        par_sink.received,
-        json.dumps(par_bus.cost_snapshot(), sort_keys=True),
-    )
-    if seq_obs != par_obs:
-        raise SystemExit(
-            "DIVERGENCE: sharded run changed simulated observables "
-            f"(sim_ms {seq_obs[0]} vs {par_obs[0]}, deliveries "
-            f"{seq_obs[1]} vs {par_obs[1]}, snapshots "
-            f"{'equal' if seq_obs[2] == par_obs[2] else 'DIFFER'})"
-        )
-    cpus = os.cpu_count() or 1
-    out = {
-        "workers": workers,
-        "cpu_count": cpus,
-        "sequential_wall_s": round(sequential_s, 4),
-        "sharded_wall_s": round(sharded_s, 4),
-        "observables_identical": True,
-        "sim_ms": round(seq_bus.sim.now, 3),
-        "deliveries": seq_sink.received,
+def bench_fan_in_bus() -> dict:
+    secs, (bus, sink) = _time(_run_fan_in_bus, repeat=2)
+    return {
+        "wall_s": round(secs, 4),
+        "sim_ms": round(bus.sim.now, 3),
+        "deliveries": sink.received,
+        "causal_ok": bus.check_app_causality().respects_causality,
     }
-    if cpus >= workers:
-        out["speedup"] = (
-            round(sequential_s / sharded_s, 2) if sharded_s > 0 else 0.0
-        )
-    else:
-        out["speedup_skipped"] = (
-            f"host has {cpus} CPU(s); need >= {workers} for an honest "
-            "parallel-speedup measurement"
-        )
-    telemetry = par_bus.shard_telemetry()
-    if telemetry is not None:
-        # the sim section is deterministic (grant counts, window widths,
-        # cross-shard message counts are pinned by the gate); the sync
-        # overhead fraction is wall-clock and only band-checked [0, 1]
-        sim = telemetry["sim"]
-        out["shardmon"] = {
-            "sim": {
-                "grants": sim["grants"],
-                "window_width_ms": sim["window_width_ms"],
-                "events_total": sim["events_total"],
-                "events_per_shard": sim["events_per_shard"],
-                "cross_shard_messages": sim["cross_shard"]["messages"],
-                "cross_shard_bytes": sim["cross_shard"]["bytes"],
-            },
-            "sync_overhead_fraction": round(
-                telemetry["wallclock"]["sync_overhead_fraction"], 4
-            ),
-        }
-    return out
 
 
 def bench_profile_overhead() -> dict:
@@ -446,6 +373,7 @@ def measure() -> dict:
         )
         scenarios[f"fan_in_matrix_s{size}"] = bench_fan_in(MatrixClock, size)
     scenarios["holdback_churn"] = bench_holdback_churn()
+    scenarios["fan_in_bus150"] = bench_fan_in_bus()
     scenarios["scale_bus_1000"] = bench_scale("bus")
     scenarios["scale_tree_1000"] = bench_scale("tree")
     return scenarios
@@ -504,14 +432,6 @@ def main() -> None:
         "(merged under 'metrics_overhead')",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="measure the sharded-parallel kernel against sequential on "
-        "the s=150 fan-in workload (merged under 'parallel_speedup'); "
-        "always verifies bit-identical observables, and records the "
-        "wall-clock speedup when the host has enough CPUs",
-    )
-    parser.add_argument(
         "--out",
         default=os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -519,25 +439,6 @@ def main() -> None:
         ),
     )
     args = parser.parse_args()
-    if args.parallel:
-        # like 'trace_overhead'/'metrics', this section lives outside the
-        # before/after labels; merge()'s bookkeeping never walks it
-        section = bench_parallel_speedup()
-        doc = {}
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                doc = json.load(fh)
-        doc["parallel_speedup"] = section
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        shown = section.get("speedup", section.get("speedup_skipped"))
-        print(
-            f"parallel fan-in s=150: sequential "
-            f"{section['sequential_wall_s']}s vs sharded "
-            f"{section['sharded_wall_s']}s ({shown}) -> {args.out}"
-        )
-        return
     if args.metrics:
         # like 'trace_overhead', these live outside the before/after
         # labels: merge()'s speedup/divergence bookkeeping never sees them

@@ -23,54 +23,16 @@ from repro.topology.cost import flat_unicast_cost
 N = 1000
 ROUNDS = 3
 
-#: REPRO_PARALLEL value per execution mode: ``auto`` pins two workers so
-#: the sharded kernel actually engages even on single-core CI runners.
-_PARALLEL_ENV = {"off": "0", "auto": "2"}
-
-
-def _observables(result):
-    """The sim-level outputs that must not depend on the execution mode."""
-    return (
-        result.mean_turnaround_ms,
-        result.wire_cells,
-        result.persisted_cells,
-        result.clock_state_cells,
-        result.messages,
-        result.hops,
-        result.causal_ok,
-    )
-
-
-@pytest.mark.parametrize("parallel", ["off", "auto"])
 @pytest.mark.parametrize("kind", ["bus", "tree"])
-def test_scale_point(benchmark, kind, parallel, monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", _PARALLEL_ENV[parallel])
+def test_scale_point(benchmark, kind):
     result = benchmark.pedantic(
         run_remote_unicast,
         kwargs=dict(server_count=N, topology=kind, rounds=ROUNDS),
         iterations=1,
         rounds=1,
     )
-    benchmark.extra_info["parallel"] = parallel
     record(benchmark, result)
     assert result.causal_ok
-
-
-def test_parallel_observables_identical(benchmark, monkeypatch):
-    """The sharded kernel is invisible at n=1000: every simulated
-    observable matches the sequential run exactly."""
-
-    def both():
-        runs = {}
-        for parallel, env in _PARALLEL_ENV.items():
-            monkeypatch.setenv("REPRO_PARALLEL", env)
-            runs[parallel] = run_remote_unicast(
-                N, topology="bus", rounds=ROUNDS
-            )
-        return runs
-
-    runs = bench_once(benchmark, both)
-    assert _observables(runs["auto"]) == _observables(runs["off"])
 
 
 def test_bus_keeps_unicast_in_the_hundreds_of_ms(benchmark):

@@ -2,13 +2,12 @@
 
 Two complementary halves:
 
-- :mod:`repro.analysis.lint` — an AST linter (rules R001–R017) that makes
-  the invariants behind the middleware — copy-on-write clock buffers,
-  seeded determinism, ordered iteration, layered imports, whole-program
-  taint and effect discipline (R007–R012) and the fork/pipe concurrency
-  rules built on the happens-before model in
-  :mod:`repro.analysis.concurrency` (R013–R017) — violations you cannot
-  merge. Run it with ``python -m repro.analysis lint src/``.
+- :mod:`repro.analysis.lint` — an AST linter (19 rules, R001–R023) that
+  makes the invariants behind the middleware — copy-on-write clock
+  buffers, seeded determinism, ordered iteration, layered imports,
+  whole-program taint and effect discipline (R007–R012), change-log
+  epochs (R015) and the ``CausalCore`` contract (R018–R023) — violations
+  you cannot merge. Run it with ``python -m repro.analysis lint src/``.
 - :mod:`repro.analysis.sanitizer` — an opt-in runtime sanitizer
   (``REPRO_SANITIZE=1``) that wraps live clocks and the bus to catch
   stamp-mutation-after-share, matrix-cell monotonicity violations,

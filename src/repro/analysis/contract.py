@@ -20,8 +20,9 @@ every core honours a contract the interpreter never checks:
   that do not commit. A lazy memo fill (``if x is None: ... self._x = x``)
   is the one tolerated write — it caches a pure computation.
 - **R021** — stamp picklability: every registered core's stamp type
-  crosses the sharded kernel's worker pipe pickled; fields must be
-  statically picklable (no lambdas, locks, open files, bound methods).
+  must be statically picklable (no lambdas, locks, open files, bound
+  methods). Stamps are plain wire data, and the model checker deep-copies
+  every explored state, stamps included, through the pickle protocol.
 - **R022** — core nondeterminism taint: a value drawn from an
   ``RngFactory`` stream must never be written into core state, wherever
   the core is defined — plug-in cores outside the classic protocol
@@ -46,8 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import ClassInfo, FunctionInfo, Project
-from repro.analysis.concurrency import fork_model
-from repro.analysis.dataflow import expr_chain
+from repro.analysis.dataflow import assigned_chains, expr_chain
 from repro.analysis.lint import Diagnostic, LintContext
 from repro.analysis.rulebase import MUTATOR_METHODS, ProjectRule, package_of
 
@@ -684,8 +684,89 @@ class DeliverabilityPurity(ProjectRule):
 # ----------------------------------------------------------------------
 
 
+#: Constructors whose instances cannot be pickled.
+UNPICKLABLE_CTORS: Dict[str, str] = {
+    "Lock": "a thread lock",
+    "RLock": "a reentrant lock",
+    "Condition": "a condition variable",
+    "Event": "a thread event",
+    "Semaphore": "a semaphore",
+    "BoundedSemaphore": "a semaphore",
+    "Barrier": "a barrier",
+    "Queue": "a queue handle",
+    "SimpleQueue": "a queue handle",
+    "Pipe": "a pipe handle",
+    "Connection": "a pipe connection",
+    "socket": "a socket",
+    "Thread": "a thread handle",
+    "Process": "a process handle",
+    "open": "an open file handle",
+}
+
+
+def _call_name(func: ast.expr) -> Optional[str]:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def unpicklable_reason(
+    project: Project, expr: ast.expr, cls: Optional[ClassInfo] = None
+) -> Optional[str]:
+    """Why ``expr`` cannot be pickled, or ``None`` when nothing shows it."""
+    if isinstance(expr, ast.Lambda):
+        return "a lambda"
+    if isinstance(expr, ast.GeneratorExp):
+        return "a generator expression"
+    if isinstance(expr, ast.Call):
+        return UNPICKLABLE_CTORS.get(_call_name(expr.func) or "")
+    if (
+        cls is not None
+        and isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+        and project.lookup_method(cls, expr.attr) is not None
+    ):
+        return f"the bound method self.{expr.attr}"
+    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
+        elements: List[Optional[ast.expr]] = list(expr.elts)
+    elif isinstance(expr, ast.Dict):
+        elements = list(expr.values)
+    else:
+        return None
+    for element in elements:
+        if element is not None:
+            why = unpicklable_reason(project, element, cls)
+            if why is not None:
+                return why
+    return None
+
+
+def unpicklable_fields(
+    project: Project, cls: ClassInfo
+) -> List[Tuple[ast.AST, str, str]]:
+    """``(site, field, why)`` for every ``self.<field> = <value>`` in a
+    method of ``cls`` whose value is statically unpicklable."""
+    found: List[Tuple[ast.AST, str, str]] = []
+    for name in sorted(cls.methods):
+        for node in ast.walk(cls.methods[name].node):
+            value = getattr(node, "value", None)
+            if value is None or not isinstance(node, ast.stmt):
+                continue
+            for chain in assigned_chains(node):
+                owner, _, attr = chain.partition(".")
+                if owner != "self" or not attr or "." in attr:
+                    continue
+                why = unpicklable_reason(project, value, cls)
+                if why is not None:
+                    found.append((node, attr, why))
+    return found
+
+
 class StampPicklability(ProjectRule):
-    """R021: registered stamp types survive the worker pipe."""
+    """R021: registered stamp types are statically picklable."""
 
     rule_id = "R021"
     title = "registered stamp type holds an unpicklable field"
@@ -694,7 +775,6 @@ class StampPicklability(ProjectRule):
         self, project: Project, contexts: Dict[str, LintContext]
     ) -> Iterator[Diagnostic]:
         contract = core_contract(project)
-        model = fork_model(project)
         seen: Set[str] = set()
         for core in contract.cores:
             stamp_cls = core.stamp_cls
@@ -704,15 +784,18 @@ class StampPicklability(ProjectRule):
             ctx = contexts.get(stamp_cls.module)
             if ctx is None:
                 continue
-            for site, field_name, why in model.unpicklable_fields(stamp_cls):
+            for site, field_name, why in unpicklable_fields(
+                project, stamp_cls
+            ):
                 yield ctx.diagnostic(
                     self.rule_id,
                     site,
                     f"field '{stamp_cls.name}.{field_name}' holds {why}, "
                     f"but '{stamp_cls.name}' is the registered stamp type "
-                    f"of core '{core.label}' and crosses the sharded "
-                    "kernel's worker pipe pickled; stamp fields must be "
-                    "statically picklable",
+                    f"of core '{core.label}'; stamps are deep-copied with "
+                    "every model-checker state through the pickle "
+                    "protocol, so stamp fields must be statically "
+                    "picklable",
                 )
 
 
@@ -901,7 +984,7 @@ class RegistrationCompleteness(ProjectRule):
                 "rules know it is not a bootable protocol",
             )
 
-        # _CLOCKS boot table: every name make_bus accepts must resolve.
+        # _CLOCKS boot table: every name BusConfig accepts must resolve.
         info = project.modules.get("repro.mom.config")
         if info is not None:
             ctx = contexts.get("repro.mom.config")
@@ -925,7 +1008,7 @@ class RegistrationCompleteness(ProjectRule):
                     yield ctx.diagnostic(
                         self.rule_id,
                         key_node,
-                        f"make_bus can boot clock algorithm '{name}', but "
+                        f"MessageBus can boot clock algorithm '{name}', but "
                         "no registered core claims that name and its clock "
                         "is not protocol_exempt; every bootable variant "
                         "must go through the registry",

@@ -505,24 +505,6 @@ class EffectEngine:
         return labels
 
 
-def stream_call_sites(project: Project) -> List[Tuple[FunctionInfo, ast.Call]]:
-    """Every ``….stream(...)`` call site in the project, in deterministic
-    (qualname, position) order.  The same syntactic pattern `_expr_labels`
-    treats as the RNG taint source — reused by R017 to audit stream
-    *names* in worker-reachable code."""
-    sites: List[Tuple[FunctionInfo, ast.Call]] = []
-    for qualname in sorted(project.functions):
-        fn = project.functions[qualname]
-        for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "stream"
-            ):
-                sites.append((fn, node))
-    return sites
-
-
 def _targets(target: ast.expr) -> Iterator[ast.expr]:
     if isinstance(target, (ast.Tuple, ast.List)):
         for element in target.elts:

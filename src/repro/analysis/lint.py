@@ -11,11 +11,11 @@ them all.
 
 Two rule tiers share one driver:
 
-- *file rules* (R001–R006, R009–R012, R015, R016) see a single parsed
-  tree at a time and run from :func:`lint_source`;
-- *project rules* (R007, R008, R013, R014, R017) need the whole-program
+- *file rules* (R001–R006, R009–R012, R015) see a single parsed tree
+  at a time and run from :func:`lint_source`;
+- *project rules* (R007, R008, R018–R023) need the whole-program
   :class:`~repro.analysis.callgraph.Project` — call graph, effect
-  summaries, the fork/pipe happens-before model — and run once per
+  summaries, the registered-core contract — and run once per
   :func:`lint_paths` invocation.
 
 Results are cached by file content hash (:class:`LintCache`): per-file

@@ -1,5 +1,5 @@
 """Shared rule machinery: base classes and helpers used by both the
-core catalogue (:mod:`repro.analysis.rules`, R001–R017) and the plug-in
+core catalogue (:mod:`repro.analysis.rules`, R001–R015) and the plug-in
 contract tier (:mod:`repro.analysis.contract`, R018–R023).
 
 Extracted so the contract rules can depend on the base classes without

@@ -1,4 +1,4 @@
-"""The rule catalogue, R001–R017 (see ``docs/analysis.md`` for rationale).
+"""The rule catalogue, R001–R015 (see ``docs/analysis.md`` for rationale).
 
 Each rule guards one invariant the PR-1 hot-path rewrite (and the paper's
 protocol itself) depends on:
@@ -57,31 +57,16 @@ CFG/call-graph/dataflow engine (:mod:`repro.analysis.cfg`,
   ``remove()``/``clear()`` leaves a zombie entry that blocks the
   domain's delivery queue forever.
 
-R013–R017 are the concurrency tier added with the fork/pipe
-happens-before model (:mod:`repro.analysis.concurrency`) for the PR-6
-sharded kernel:
+R015 guards the clock change-log that the delta-merge fast path relies
+on:
 
-- **R013** — fork-boundary lost updates: a write, in worker-reachable
-  code, to module-level state that the parent process reads. Fork is a
-  one-way snapshot, so the write silently vanishes — results must ship
-  through the worker pipe.
-- **R014** — pipe pickle-safety: every type statically inferable as
-  crossing a worker pipe (send payloads, protocol stamps) must be
-  picklable — no lambdas, locks, open files, generators, sockets or
-  bound methods in shipped fields.
 - **R015** — epoch discipline: every *rebinding* of a clock change-log
   (``…._log = …``) must write the matching ``_log_epoch`` on all CFG
   paths; in-place appends preserve identity and are exempt. Readers
   dedupe log entries by (epoch, index), so a silent swap replays or
   loses updates.
-- **R016** — coordinator flush discipline: on every CFG path, pending
-  cross-shard arrivals are flushed into the grant batch before an LBTS
-  ``("grant", …)`` message is sent — the bit-identity linchpin of the
-  conservative sync protocol.
-- **R017** — shard-scoped RNG streams: a stream name constructed in
-  worker-reachable code must embed the shard id (constant names would
-  give every worker an identical stream), unless lexically guarded by
-  the sequential-only ``shard is None`` branch.
+
+R013, R014, R016 and R017 are retired ids: do not reuse them.
 
 R018–R023 are the plug-in contract tier guarding the
 :class:`~repro.protocol.core.CausalCore` boundary; they live in
@@ -96,14 +81,12 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from repro.analysis.callgraph import Project
 from repro.analysis.cfg import CFG, CFGNode, build_cfg
-from repro.analysis.concurrency import fork_model
 from repro.analysis.dataflow import (
     expr_chain,
     guard_facts_from_test,
     non_none_facts,
-    solve_forward,
 )
-from repro.analysis.effects import EffectEngine, stream_call_sites
+from repro.analysis.effects import EffectEngine
 from repro.analysis.lint import Diagnostic, LintContext
 from repro.analysis.rulebase import (
     MUTATOR_METHODS as _MUTATOR_METHODS,
@@ -629,8 +612,6 @@ HOOK_HANDLES = frozenset(
         "sacct",
         "acct",
         "_acct",
-        "_telemetry",
-        "telemetry",
     }
 )
 
@@ -643,7 +624,6 @@ _OBSERVATION_PREFIXES = (
     "repro.obs",
     "repro.metrics",
     "repro.mom.accounting",
-    "repro.simulation.telemetry",
 )
 
 
@@ -1058,84 +1038,8 @@ class HoldbackLeak(Rule):
 
 
 # ----------------------------------------------------------------------
-# Concurrency tier (R013–R017) — the fork/pipe happens-before model
+# Change-log epochs (R015)
 # ----------------------------------------------------------------------
-
-
-class ForkBoundaryLostUpdate(ProjectRule):
-    """R013: a worker-side write to parent-read module state vanishes at
-    the fork boundary."""
-
-    rule_id = "R013"
-    title = "worker-side write to module state the parent reads"
-
-    def check_project(
-        self, project: Project, contexts: Dict[str, LintContext]
-    ) -> Iterator[Diagnostic]:
-        model = fork_model(project)
-        if not model.worker_entries:
-            return
-        for write in model.worker_module_writes():
-            ctx = contexts.get(write.fn.module)
-            if ctx is None:
-                continue
-            readers = model.parent_readers(write.fn.module, write.name)
-            if not readers:
-                continue
-            names = ", ".join(sorted({f"{fn.name}()" for fn in readers}))
-            path = model.worker_path(write.fn.qualname)
-            entry = path[0].rsplit(".", 1)[-1] if path else "a worker entry"
-            yield ctx.diagnostic(
-                self.rule_id,
-                write.node,
-                f"{write.how} of module-level '{write.name}' runs in "
-                f"fork-worker code (reachable from {entry}()), but the "
-                f"parent process reads '{write.name}' in {names}; fork is a "
-                "one-way snapshot, so this write silently vanishes — ship "
-                "the data through the worker pipe instead",
-            )
-
-
-class PipePickleSafety(ProjectRule):
-    """R014: everything crossing a worker pipe is statically picklable."""
-
-    rule_id = "R014"
-    title = "unpicklable value crosses the worker pipe"
-
-    def check_project(
-        self, project: Project, contexts: Dict[str, LintContext]
-    ) -> Iterator[Diagnostic]:
-        model = fork_model(project)
-        sends = model.pipe_sends()
-        if not sends:
-            return
-        for send in sends:
-            ctx = contexts.get(send.fn.module)
-            if ctx is None:
-                continue
-            for arg in send.node.args:
-                why = model.unpicklable_reason(arg, send.fn.cls)
-                if why is not None:
-                    yield ctx.diagnostic(
-                        self.rule_id,
-                        arg,
-                        f"pipe payload sent through '{send.handle}' contains "
-                        f"{why}, which cannot be pickled across the fork "
-                        "boundary",
-                    )
-        for cls in model.shipped_classes():
-            ctx = contexts.get(cls.module)
-            if ctx is None:
-                continue
-            for site, field_name, why in model.unpicklable_fields(cls):
-                yield ctx.diagnostic(
-                    self.rule_id,
-                    site,
-                    f"field '{cls.name}.{field_name}' holds {why}, but "
-                    f"'{cls.name}' instances cross the worker pipe pickled "
-                    "(directly or inside a shipped payload); every field of "
-                    "a shipped type must be statically picklable",
-                )
 
 
 class EpochDiscipline(Rule):
@@ -1195,172 +1099,6 @@ class EpochDiscipline(Rule):
                     )
 
 
-class CoordinatorFlushDiscipline(Rule):
-    """R016: pending arrivals are flushed before every LBTS grant."""
-
-    rule_id = "R016"
-    title = "LBTS grant sent without flushing pending arrivals first"
-
-    _PENDING = "_pending"
-
-    def check(self, tree: ast.AST, ctx: LintContext) -> Iterator[Diagnostic]:
-        if _package_of(ctx.module) != "simulation":
-            return
-        for func in _function_defs(tree):
-            graph = build_cfg(func)
-            grants: List[Tuple[int, ast.Call]] = []
-            flushes: Set[int] = set()
-            kills: Set[int] = set()
-            for node in graph.nodes:
-                for expr in _owned_exprs(node):
-                    for sub in ast.walk(expr):
-                        if not isinstance(sub, ast.Call) or not isinstance(
-                            sub.func, ast.Attribute
-                        ):
-                            continue
-                        if sub.func.attr == "send" and self._is_grant(sub):
-                            grants.append((node.index, sub))
-                        elif (
-                            sub.func.attr in _MUTATOR_METHODS
-                            and self._mentions_pending(sub.func.value)
-                        ):
-                            kills.add(node.index)
-                stmt = node.stmt
-                if (
-                    isinstance(stmt, (ast.Assign, ast.AnnAssign))
-                    and node.kind != "finally"
-                ):
-                    targets = (
-                        list(stmt.targets)
-                        if isinstance(stmt, ast.Assign)
-                        else [stmt.target]
-                    )
-                    rebinds_pending = any(
-                        (chain := expr_chain(leaf)) is not None
-                        and chain.split(".")[-1] == self._PENDING
-                        for target in targets
-                        for leaf in _flatten(target)
-                    )
-                    if rebinds_pending:
-                        if stmt.value is not None and self._mentions_pending(
-                            stmt.value
-                        ):
-                            # the swap: grant batch <- pending, pending reset
-                            flushes.add(node.index)
-                            kills.discard(node.index)
-                        else:
-                            kills.add(node.index)
-            if not grants:
-                continue
-
-            def transfer(
-                node: CFGNode, fact: FrozenSet[str], label: str
-            ) -> FrozenSet[str]:
-                if node.index in flushes:
-                    return frozenset({"flushed"})
-                if node.index in kills:
-                    return frozenset()
-                return fact
-
-            def join(facts: Sequence[FrozenSet[str]]) -> FrozenSet[str]:
-                if not facts:
-                    return frozenset()
-                out = facts[0]
-                for fact in facts[1:]:
-                    out = out & fact
-                return out
-
-            in_facts = solve_forward(graph, frozenset(), transfer, join)
-            for index, call in grants:
-                if "flushed" not in in_facts.get(index, frozenset()):
-                    yield ctx.diagnostic(
-                        self.rule_id,
-                        call,
-                        "LBTS grant sent on a path where pending cross-shard "
-                        "arrivals were not flushed into the grant batch; an "
-                        "unflushed arrival is delivered one window late, "
-                        "breaking bit-identity with the sequential kernel",
-                    )
-
-    @staticmethod
-    def _is_grant(call: ast.Call) -> bool:
-        if not call.args:
-            return False
-        payload = call.args[0]
-        return (
-            isinstance(payload, ast.Tuple)
-            and bool(payload.elts)
-            and isinstance(payload.elts[0], ast.Constant)
-            and payload.elts[0].value == "grant"
-        )
-
-    @classmethod
-    def _mentions_pending(cls, expr: ast.AST) -> bool:
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Attribute) and sub.attr == cls._PENDING:
-                return True
-            if isinstance(sub, ast.Name) and sub.id == cls._PENDING:
-                return True
-        return False
-
-
-class ShardScopedStreams(ProjectRule):
-    """R017: stream names built in worker code embed the shard id."""
-
-    rule_id = "R017"
-    title = "RNG stream name in worker-reachable code lacks the shard id"
-
-    def check_project(
-        self, project: Project, contexts: Dict[str, LintContext]
-    ) -> Iterator[Diagnostic]:
-        model = fork_model(project)
-        if not model.worker_entries:
-            return
-        guarded_cache: Dict[str, Set[int]] = {}
-        for fn, call in stream_call_sites(project):
-            if not model.is_worker(fn.qualname) or not call.args:
-                continue
-            ctx = contexts.get(fn.module)
-            if ctx is None:
-                continue
-            arg = call.args[0]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                flaw = f"constant stream name '{arg.value}'"
-            elif isinstance(arg, ast.JoinedStr) and not self._embeds_shard(arg):
-                flaw = "f-string stream name with no shard-id field"
-            else:
-                continue  # shard-scoped, or not statically decidable
-            guarded = guarded_cache.get(fn.qualname)
-            if guarded is None:
-                guarded = model.sequential_guarded_calls(fn)
-                guarded_cache[fn.qualname] = guarded
-            if id(call) in guarded:
-                continue  # sequential-only branch: `shard is None`
-            path = model.worker_path(fn.qualname)
-            entry = path[0].rsplit(".", 1)[-1] if path else "a worker entry"
-            yield ctx.diagnostic(
-                self.rule_id,
-                call,
-                f"{flaw} in worker-reachable code (via {entry}()): every "
-                "shard worker would draw an identical sequence; embed the "
-                "shard id in the stream name (e.g. "
-                "f\"network/shard{shard.shard_id}\") so streams stay "
-                "decorrelated across workers",
-            )
-
-    @staticmethod
-    def _embeds_shard(arg: ast.JoinedStr) -> bool:
-        for part in arg.values:
-            if not isinstance(part, ast.FormattedValue):
-                continue
-            for sub in ast.walk(part.value):
-                if isinstance(sub, ast.Name) and "shard" in sub.id:
-                    return True
-                if isinstance(sub, ast.Attribute) and "shard" in sub.attr:
-                    return True
-        return False
-
-
 # Imported at the bottom on purpose: the contract tier builds on the
 # shared bases in repro.analysis.rulebase, and this module appends its
 # rules to the catalogue — a top-of-file import would be cyclic.
@@ -1379,11 +1117,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     TransactionPairing(),
     PersistenceBypass(),
     HoldbackLeak(),
-    ForkBoundaryLostUpdate(),
-    PipePickleSafety(),
     EpochDiscipline(),
-    CoordinatorFlushDiscipline(),
-    ShardScopedStreams(),
 ) + CONTRACT_RULES
 
 FILE_RULES: Tuple[Rule, ...] = tuple(

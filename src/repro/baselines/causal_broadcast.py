@@ -30,7 +30,7 @@ from repro.simulation.rng import RngFactory
 
 # R023: BSS broadcast runs on CausalBroadcastClock (a vector clock, not
 # a CausalClock) under its own group harness — it is never selected by
-# name through make_bus, so it registers no CausalCore.
+# name through BusConfig, so it registers no CausalCore.
 PROTOCOL_EXEMPT = "causal-broadcast baseline; not bootable via the core registry"
 
 

@@ -36,7 +36,7 @@ from repro.simulation.rng import RngFactory
 
 # R023: the Daisy baseline rides on CausalBroadcastClock (a vector
 # clock, not a CausalClock) and is driven by its own harness, never
-# booted through make_bus — so it registers no CausalCore.
+# booted through BusConfig — so it registers no CausalCore.
 PROTOCOL_EXEMPT = "causal-broadcast baseline; not bootable via the core registry"
 
 

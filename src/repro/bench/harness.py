@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError
 from repro.mom.agent import EchoAgent
 from repro.mom.bus import MessageBus
 from repro.mom.config import BusConfig
-from repro.mom.parallel import AnyBus, make_bus
 from repro.obs.tracer import Tracer
 from repro.obs.tracer import attach as attach_tracer
 from repro.simulation.costs import CostModel
@@ -122,8 +121,7 @@ def _build_bus(
     cost_model: Optional[CostModel],
     seed: int,
     record_hop_trace: bool,
-    sequential_only: bool = False,
-) -> AnyBus:
+) -> MessageBus:
     topology = make_topology(kind, server_count, domain_size)
     config = BusConfig(
         topology=topology,
@@ -133,11 +131,7 @@ def _build_bus(
         record_app_trace=True,
         record_hop_trace=record_hop_trace,
     )
-    if sequential_only:
-        # the obs tracer instruments a concrete MessageBus (its servers,
-        # channels, transports); traced runs therefore stay sequential
-        return MessageBus(config)
-    return make_bus(config)
+    return MessageBus(config)
 
 
 def _trace_extras(tracer: Tracer) -> Dict[str, float]:
@@ -160,7 +154,7 @@ def _trace_extras(tracer: Tracer) -> Dict[str, float]:
 
 def _finish(
     name: str,
-    bus: AnyBus,
+    bus: MessageBus,
     kind: str,
     clock: str,
     rounds: int,
@@ -204,8 +198,7 @@ def run_remote_unicast(
     and the result's ``extras`` carry p50/p95/p99 of the latency
     histograms (holdback dwell, e2e delivery, ACK RTT, queue wait)."""
     bus = _build_bus(
-        topology, server_count, domain_size, clock, cost_model, seed, False,
-        sequential_only=trace,
+        topology, server_count, domain_size, clock, cost_model, seed, False
     )
     tracer = attach_tracer(bus) if trace else None
     target_server = farthest_plain_server(bus.config.topology, source=0)
@@ -234,8 +227,7 @@ def run_local_unicast(
     """§6.1 "unicast on the local server": driver and echo share server 0
     (Figure 1's Local Bus — no channel, no stamps, constant cost)."""
     bus = _build_bus(
-        topology, server_count, domain_size, clock, cost_model, seed, False,
-        sequential_only=trace,
+        topology, server_count, domain_size, clock, cost_model, seed, False
     )
     tracer = attach_tracer(bus) if trace else None
     echo_id = bus.deploy(EchoAgent(), 0)
@@ -316,8 +308,7 @@ def run_broadcast(
     """§6.1 "broadcast on all servers": one echo agent per server; the main
     agent sends to all of them and waits for every echo per round."""
     bus = _build_bus(
-        topology, server_count, domain_size, clock, cost_model, seed, False,
-        sequential_only=trace,
+        topology, server_count, domain_size, clock, cost_model, seed, False
     )
     tracer = attach_tracer(bus) if trace else None
     echo_ids = [

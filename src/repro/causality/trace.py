@@ -45,8 +45,7 @@ class Trace:
     analysis only ever consults local orders and the message graph.
     """
 
-    def __init__(self, strict: bool = True):
-        self._strict = strict
+    def __init__(self):
         self._events: Dict[Hashable, List[Event]] = {}
         self._local_index: Dict[Tuple[Hashable, Hashable], int] = {}
         self._sent: Dict[Hashable, Message] = {}
@@ -124,25 +123,19 @@ class Trace:
 
         The matching send must already have been recorded — the MOM records
         sends when the channel transmits, which (in any single run) is
-        observed before the receive. A trace built with ``strict=False``
-        (one shard's slice of a distributed run) skips that requirement:
-        the send of a cross-shard message lives in *another* shard's trace,
-        and the merged trace re-validates via :meth:`from_histories`.
+        observed before the receive.
         """
-        if message.mid not in self._sent:
-            if self._strict:
-                raise TraceError(
-                    f"message {message.mid!r} received but never sent in "
-                    "this trace"
-                )
-            self._messages.setdefault(message.mid, message)
-        else:
-            known = self._sent[message.mid]
-            if known != message:
-                raise TraceError(
-                    f"message {message.mid!r} received with different "
-                    f"endpoints than sent ({known!r} vs {message!r})"
-                )
+        known = self._sent.get(message.mid)
+        if known is None:
+            raise TraceError(
+                f"message {message.mid!r} received but never sent in "
+                "this trace"
+            )
+        if known != message:
+            raise TraceError(
+                f"message {message.mid!r} received with different "
+                f"endpoints than sent ({known!r} vs {message!r})"
+            )
         if message.mid in self._received:
             raise TraceError(f"message {message.mid!r} received twice")
         event = Event(EventKind.RECEIVE, message.dst, message)

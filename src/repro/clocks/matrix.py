@@ -170,8 +170,8 @@ class MatrixClock(CausalClock):
         # Append-only (cell_index, new_value) mutation log; replaced (new
         # list, epoch bumped) on trim or restore, which receivers detect
         # by epoch mismatch and answer with a full merge. The epoch (not
-        # object identity) travels with each stamp, so the detection works
-        # across process boundaries where stamps arrive pickled.
+        # object identity) travels with each stamp, so the detection also
+        # works on copied stamps.
         self._log: list = []
         self._log_epoch = 0
         # Per-sender merge positions: sender -> (log epoch, merged length).

@@ -17,10 +17,10 @@ relative bucket width is ``10^(1/32) − 1 ≈ 7.5 %``.
 Everything is deterministic: bucket edges are precomputed floats, lookup
 is a ``bisect``, and recording order never affects any reported value.
 The running sum is kept as an *integer* number of ``2**-20`` quanta
-(``_SUM_SCALE``), so it is associative and commutative exactly — shard
-registries merged in any order reproduce the sequential histogram bit for
-bit (docs/parallel.md); the ~1e-6 relative quantization is far below the
-7.5 % bucket resolution everything else reports at.
+(``_SUM_SCALE``), so it is associative and commutative exactly: the mean
+does not depend on recording order. The ~1e-6 relative quantization is
+far below the 7.5 % bucket resolution everything else reports at, and
+gated snapshot values depend on it, so it must not change.
 """
 
 from __future__ import annotations
@@ -177,42 +177,6 @@ class LogHistogram:
                 yield (self._bounds[-1], self._max, bucket_count)
             else:
                 yield (self._bounds[idx - 1], self._bounds[idx], bucket_count)
-
-    def dump_state(self) -> Dict[str, object]:
-        """Picklable contents (plus bucket geometry, so a merge target can
-        verify compatibility) for cross-process shard merging."""
-        return {
-            "low": self.low,
-            "high": self.high,
-            "per_decade": self.per_decade,
-            "counts": list(self._counts),
-            "count": self._count,
-            "sum_q": self._sum_q,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold one shard's :meth:`dump_state` in. Every statistic is a
-        commutative reduction (integer adds, min, max), so merging shard
-        histograms in any order equals recording the union sequentially."""
-        if (
-            state["low"] != self.low
-            or state["high"] != self.high
-            or state["per_decade"] != self.per_decade
-        ):
-            raise ConfigurationError(
-                f"histogram {self.name!r}: merging incompatible geometry"
-            )
-        counts = state["counts"]
-        for i, bucket_count in enumerate(counts):  # type: ignore[arg-type]
-            self._counts[i] += bucket_count
-        self._count += state["count"]  # type: ignore[operator]
-        self._sum_q += state["sum_q"]  # type: ignore[operator]
-        if state["min"] < self._min:  # type: ignore[operator]
-            self._min = state["min"]  # type: ignore[assignment]
-        if state["max"] > self._max:  # type: ignore[operator]
-            self._max = state["max"]  # type: ignore[assignment]
 
     def snapshot(self) -> Dict[str, float]:
         """Summary statistics, JSON-ready."""

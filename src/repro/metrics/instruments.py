@@ -38,12 +38,6 @@ class Counter:
             )
         self.value += amount
 
-    def dump_state(self) -> int:
-        return self.value
-
-    def merge_state(self, state: int) -> None:
-        self.inc(int(state))
-
     def __repr__(self) -> str:
         return f"Counter({self.value})"
 
@@ -74,19 +68,6 @@ class Gauge:
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
-
-    def dump_state(self) -> "tuple":
-        return (self.value, self.max_value)
-
-    def merge_state(self, state: "tuple") -> None:
-        """Adopt a shard's reading. Every gauge carries a ``server`` or
-        ``domain`` label that pins it to exactly one shard, so at most one
-        merged state is ever non-default; the high-water mark still folds
-        commutatively for safety."""
-        value, max_value = state
-        self.value = value
-        if max_value > self.max_value:
-            self.max_value = max_value
 
     def __repr__(self) -> str:
         return f"Gauge({self.value}, max={self.max_value})"
@@ -128,27 +109,6 @@ class EwmaRate:
         if dt > 0:
             rate *= math.exp(-dt / self.tau_ms)
         return rate * 1000.0
-
-    def dump_state(self) -> "tuple":
-        return (self.tau_ms, self._rate, self._last_ms)
-
-    def merge_state(self, state: "tuple") -> None:
-        """Adopt a shard's decay state. Rates are per-server labeled, so
-        exactly one merged state is ever non-zero; a zero-rate state folds
-        in as the bitwise no-op ``rate += 0.0``, keeping the surviving
-        state identical to the sequential instrument's."""
-        tau_ms, rate, last_ms = state
-        if tau_ms != self.tau_ms:
-            raise ConfigurationError(
-                f"cannot merge EWMA windows {tau_ms} into {self.tau_ms}"
-            )
-        if last_ms > self._last_ms:
-            dt = last_ms - self._last_ms
-            self._rate *= math.exp(-dt / self.tau_ms)
-            self._last_ms = last_ms
-        elif last_ms < self._last_ms:
-            rate *= math.exp(-(self._last_ms - last_ms) / self.tau_ms)
-        self._rate += rate
 
     def __repr__(self) -> str:
         return f"EwmaRate(tau={self.tau_ms}ms, rate/ms={self._rate:.6g})"

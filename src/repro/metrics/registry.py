@@ -207,62 +207,6 @@ class Registry:
             "instruments": instruments,
         }
 
-    # ------------------------------------------------------------------
-    # Cross-process shard merging (repro.mom.parallel)
-    # ------------------------------------------------------------------
-
-    def dump_state(self) -> List[dict]:
-        """Picklable registry contents: collectors run first (so pulled
-        gauges are current), then every entry ships its kind, identity,
-        help text and instrument state."""
-        self.collect()
-        rows = []
-        for (name, labels), entry in sorted(self._entries.items()):
-            rows.append({
-                "kind": entry.kind,
-                "name": name,
-                "labels": list(labels),
-                "help": entry.help,
-                "state": entry.instrument.dump_state(),
-            })
-        return rows
-
-    def merge_state(self, rows: List[dict]) -> None:
-        """Fold one shard registry's :meth:`dump_state` into this one.
-
-        Instruments are created on demand (with the shipped help text and
-        construction parameters) and each delegates to its own
-        ``merge_state`` — counters and histogram statistics are
-        commutative reductions, gauges and rates are pinned to one shard
-        by their label discipline, so merge order never matters."""
-        for row in rows:
-            kind = row["kind"]
-            name = row["name"]
-            labels = dict(row["labels"])
-            state = row["state"]
-            if kind == "counter":
-                instrument = self.counter(name, labels, help=row["help"])
-            elif kind == "gauge":
-                instrument = self.gauge(name, labels, help=row["help"])
-            elif kind == "rate":
-                instrument = self.rate(
-                    name, labels, help=row["help"], tau_ms=state[0]
-                )
-            elif kind == "histogram":
-                instrument = self.histogram(
-                    name,
-                    labels,
-                    help=row["help"],
-                    low=state["low"],
-                    high=state["high"],
-                    per_decade=state["per_decade"],
-                )
-            else:
-                raise ConfigurationError(
-                    f"cannot merge unknown instrument kind {kind!r}"
-                )
-            instrument.merge_state(state)
-
     def __repr__(self) -> str:
         return (
             f"Registry(instruments={len(self._entries)}, "

@@ -39,7 +39,6 @@ from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.network import Network
 from repro.simulation.rng import RngFactory
-from repro.simulation.shard import ShardContext, ShardNetwork
 from repro.topology.graph import validate_topology
 from repro.topology.routing import build_routing_tables
 
@@ -51,11 +50,10 @@ if TYPE_CHECKING:
 class MessageBus:
     """The whole MOM: servers, network, clocks, traces, metrics."""
 
-    def __init__(self, config: BusConfig, shard: Optional[ShardContext] = None):
+    def __init__(self, config: BusConfig):
         if config.validate:
             validate_topology(config.topology)
         self.config = config
-        self.shard = shard
         self.sim = Simulator()
         self.rng = RngFactory(config.seed)
         self.metrics = MetricsRegistry()
@@ -69,32 +67,16 @@ class MessageBus:
             self.accounting = Registry()
             self.acct = BusAccounting(self.accounting)
             install_collector(self.accounting, self)
-        if shard is None:
-            self.network = Network(
-                sim=self.sim,
-                latency=config.latency_model(),
-                loss_rate=config.loss_rate,
-                rng=self.rng.stream("network"),
-            )
-        else:
-            # Sharded worker: packets whose destination is homed to another
-            # worker divert to the outbox instead of scheduling locally.
-            # Each shard derives the network stream under its own key, so no
-            # two workers ever share an RNG stream (see docs/parallel.md;
-            # eligible configs never draw from it anyway).
-            self.network = ShardNetwork(
-                sim=self.sim,
-                latency=config.latency_model(),
-                loss_rate=config.loss_rate,
-                rng=self.rng.stream(f"network/shard{shard.shard_id}"),
-                local=shard.local_servers,
-            )
+        self.network = Network(
+            sim=self.sim,
+            latency=config.latency_model(),
+            loss_rate=config.loss_rate,
+            rng=self.rng.stream("network"),
+        )
         tables = build_routing_tables(config.topology, registry=self.accounting)
         self.routing_index = tables[config.topology.servers[0]].index
         self.servers: Dict[int, AgentServer] = {}
         for server_id in config.topology.servers:
-            if shard is not None and server_id not in shard.local_servers:
-                continue
             self.servers[server_id] = AgentServer(
                 bus=self,
                 server_id=server_id,
@@ -102,12 +84,11 @@ class MessageBus:
                 routing=tables[server_id],
             )
         self._nids: Dict[int, int] = {}
-        strict_trace = shard is None
         self.app_trace: Optional[Trace] = (
-            Trace(strict=strict_trace) if config.record_app_trace else None
+            Trace() if config.record_app_trace else None
         )
         self.hop_trace: Optional[Trace] = (
-            Trace(strict=strict_trace) if config.record_hop_trace else None
+            Trace() if config.record_hop_trace else None
         )
         self._started = False
         # observability hook (repro.obs); None = tracing off, and the
@@ -158,7 +139,7 @@ class MessageBus:
         self, at: float, sender: AgentId, target: AgentId, payload: Any
     ) -> None:
         """Script a send at absolute time ``at``, keyed to the sender's
-        server so the event order is shard-layout-independent."""
+        server."""
         self.sim.schedule_setup(
             at, sender.server, self.dispatch, sender, target, payload
         )
@@ -180,10 +161,9 @@ class MessageBus:
     ) -> None:
         """Script a network partition between two servers.
 
-        Scheduled as one event per endpoint (idempotent on a shared
-        network): in a sharded run each worker applies the copy owned by
-        its local endpoint, so both sides see the cut at the same instant.
-        """
+        Scheduled as one (idempotent) event per endpoint. Each endpoint's
+        per-owner setup sequence counts its copy, so collapsing the pair
+        into one event would shift later event keys."""
         for owner in (first, second):
             self.sim.schedule_setup(
                 at, owner, self.network.partition, first, second
@@ -208,8 +188,8 @@ class MessageBus:
 
     def _next_nid(self, server: int) -> int:
         """Notification ids are ``sender-server << 40 | per-server count``:
-        unique bus-wide, and assigned identically no matter which kernel
-        hosts the sender (a bus-global counter would be shard-dependent)."""
+        unique bus-wide, and independent of how sends on different servers
+        interleave."""
         count = self._nids.get(server, 0) + 1
         self._nids[server] = count
         return (server << 40) | count

@@ -108,21 +108,6 @@ class BusConfig:
     event. ``False`` (or ``REPRO_METRICS=0`` in the environment) disables
     it entirely; hot paths then pay one ``is not None`` check per edge."""
 
-    parallel: str = "off"
-    """Sharded-parallel execution policy for :func:`repro.mom.parallel.make_bus`
-    (docs/parallel.md): ``"off"`` runs the classic sequential kernel,
-    ``"auto"`` shards the simulation across worker processes when the
-    configuration is eligible (deterministic latency, no loss, multi-domain
-    topology), falling back to sequential otherwise. The environment
-    variable ``REPRO_PARALLEL`` (``0``/``off``, ``auto``, or a worker
-    count) overrides this field either way. Results are bit-identical to
-    sequential in both modes."""
-
-    workers: int = 0
-    """Worker-process count for parallel runs; ``0`` picks
-    ``os.cpu_count()``. The shard plan never uses more workers than the
-    topology has domains."""
-
     def __post_init__(self):
         if self.clock_algorithm not in _CLOCKS and not has_core(
             self.clock_algorithm
@@ -134,14 +119,6 @@ class BusConfig:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"
-            )
-        if self.parallel not in ("off", "auto"):
-            raise ConfigurationError(
-                f"parallel must be 'off' or 'auto', got {self.parallel!r}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0, got {self.workers}"
             )
 
     @property

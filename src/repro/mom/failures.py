@@ -3,30 +3,25 @@
 The AAA platform is fault-tolerant — "a solution to transient nodes or
 network failures" (§3) — so the reproduction must demonstrate that causal
 delivery survives them. The injector delegates to the bus-level
-``schedule_crash`` / ``schedule_partition`` primitives (which both the
-sequential :class:`~repro.mom.bus.MessageBus` and the sharded
-:class:`~repro.mom.parallel.ShardedBus` implement), so a failure script
-runs identically in either execution mode; the causality checkers then
-run on the resulting traces exactly as in the failure-free experiments.
+``schedule_crash`` / ``schedule_partition`` primitives of
+:class:`~repro.mom.bus.MessageBus`; the causality checkers then run on
+the resulting traces exactly as in the failure-free experiments.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mom.bus import MessageBus
-    from repro.mom.parallel import ShardedBus
-
-    AnyBus = Union[MessageBus, ShardedBus]
 
 
 class FailureInjector:
     """Schedules failures against a bus before (or while) it runs."""
 
-    def __init__(self, bus: "AnyBus"):
+    def __init__(self, bus: "MessageBus"):
         self._bus = bus
         self.planned: List[Tuple[float, str]] = []
 

@@ -43,9 +43,9 @@ from typing import Any, Dict, IO, List, Optional, Union
 from repro.mom.workloads import BroadcastDriver, PingPongDriver
 from repro.errors import ConfigurationError
 from repro.mom.agent import Agent, EchoAgent, FunctionAgent
+from repro.mom.bus import MessageBus
 from repro.mom.config import BusConfig
 from repro.mom.failures import FailureInjector
-from repro.mom.parallel import AnyBus, make_bus
 from repro.simulation.network import (
     ConstantLatency,
     ExponentialLatency,
@@ -78,7 +78,7 @@ class _CollectorAgent(Agent):
 class ScenarioResult:
     """Everything a scenario run produces."""
 
-    bus: AnyBus
+    bus: MessageBus
     agents: Dict[str, Agent]
     agent_ids: Dict[str, Any]
     causal_ok: bool
@@ -169,10 +169,8 @@ def run_scenario(
         latency=_build_latency(scenario.get("latency")),
         loss_rate=scenario.get("loss_rate", 0.0),
         validate=scenario.get("validate", True),
-        parallel=scenario.get("parallel", "off"),
-        workers=scenario.get("workers", 0),
     )
-    mom = make_bus(config)
+    mom = MessageBus(config)
 
     agents: Dict[str, Agent] = {}
     agent_ids: Dict[str, Any] = {}

@@ -15,8 +15,6 @@ Subcommands:
   ({transit, hop_relay, causal_holdback, queue, processing} summing
   bit-identically to the end-to-end latency), or — with ``--run`` — the
   chain of deliveries that determined the whole run's makespan;
-- ``shards``   render a ``repro.shardmon/v1`` shard-runtime telemetry
-  payload (or ``--demo`` to produce one live from a sharded run);
 - ``replay``   time-travel debugging: reconstruct every server's protocol
   state (clock matrices, hold-back queues, in-flight sets, delivered
   prefixes) at any sim-time ``--at T``, or run forward to a watchpoint
@@ -42,7 +40,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs import flight_recorder, shardmon
+from repro.obs import flight_recorder
 from repro.obs.critpath import CATEGORIES, CriticalPathAnalyzer
 from repro.obs.events import TraceEvent
 from repro.obs.export import TraceDump, chrome_trace, read_jsonl
@@ -347,54 +345,6 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shards(args: argparse.Namespace) -> int:
-    """Render shard-runtime telemetry, from a file or a live demo run."""
-    if args.demo:
-        payload = _demo_shard_payload(args)
-        if payload is None:
-            return 1
-    else:
-        if args.telemetry is None:
-            print(
-                "error: give a telemetry JSON path, or --demo",
-                file=sys.stderr,
-            )
-            return 2
-        payload = shardmon.load(args.telemetry)
-    print(shardmon.render(payload))
-    return 0
-
-
-def _demo_shard_payload(args: argparse.Namespace):
-    # The `record` demo workload, but on the sharded kernel: routed
-    # ping-pong across a bus-of-domains, telemetry on.
-    from repro.mom.agent import EchoAgent
-    from repro.mom.config import BusConfig
-    from repro.mom.parallel import ShardedBus, make_bus
-    from repro.mom.workloads import PingPongDriver
-    from repro.topology import builders
-
-    os.environ["REPRO_PARALLEL"] = str(args.workers)
-    os.environ.pop("REPRO_SHARDMON", None)
-    topology = builders.bus(args.servers, args.domain_size)
-    config = BusConfig(topology=topology, seed=args.seed)
-    bus = make_bus(config)
-    if not isinstance(bus, ShardedBus):
-        print(
-            "error: this configuration is not shard-eligible on this "
-            "host (fork start method required)",
-            file=sys.stderr,
-        )
-        return None
-    echo_id = bus.deploy(EchoAgent(), topology.server_count - 1)
-    driver = PingPongDriver(args.rounds)
-    driver.bind(echo_id)
-    bus.deploy(driver, 0)
-    bus.start()
-    bus.run_until_idle()
-    return bus.shard_telemetry()
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     """Time-travel replay: state at ``--at T``, or run to a watchpoint."""
     from repro.obs.replay import (
@@ -631,24 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the whole run's critical path instead of one delivery",
     )
     p.set_defaults(fn=cmd_critpath)
-
-    p = sub.add_parser(
-        "shards", help="shard-runtime telemetry report (repro.shardmon/v1)"
-    )
-    p.add_argument(
-        "telemetry", nargs="?", default=None,
-        help="shardmon JSON payload (omit with --demo)",
-    )
-    p.add_argument(
-        "--demo", action="store_true",
-        help="run a small sharded workload live and report it",
-    )
-    p.add_argument("--servers", type=int, default=12)
-    p.add_argument("--domain-size", type=int, default=4)
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=2)
-    p.set_defaults(fn=cmd_shards)
 
     p = sub.add_parser(
         "replay",

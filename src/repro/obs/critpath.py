@@ -19,8 +19,7 @@ chain of one delivery and partitions its end-to-end sim-time latency
 Attribution is a telescoping sweep over the message's milestone
 timeline, with every interval width summed as an exact
 :class:`fractions.Fraction` — so the five categories sum to the measured
-end-to-end latency *bit-identically*, in sequential and sharded runs
-alike (the differential suite pins this).
+end-to-end latency *bit-identically* (the scenario-zoo suite pins this).
 
 The run-level critical path (:meth:`CriticalPathAnalyzer.run_critical_path`)
 starts from the delivery that completes last and expands its longest

@@ -1,18 +1,16 @@
 """Causal run-diff: the first *meaningful* divergence between two dumps.
 
 The repo's correctness story rests on byte-equality differentials
-(sequential vs. sharded, bare vs. sanitized, protocol vs. protocol). When
+(run vs. re-run, bare vs. sanitized, protocol vs. protocol). When
 one fails, "bytes differ" is the least useful possible message — the
 event rings on both sides recorded everything needed to say *which*
 message, at *which* sim-time, on *which* server first went a different
 way. This module says it.
 
-Alignment. Event ``seq`` numbers are partition-dependent (a merged
-parallel dump re-sequences by ``(t, shard, seq)``, a sequential dump by
-global recording order), so raw streams from *equivalent* runs can
-interleave same-instant events of different servers differently. What is
-partition-independent is each server's own event order — a server lives
-on exactly one shard. :func:`canonical_events` therefore stable-sorts by
+Alignment. Event ``seq`` numbers follow global recording order, so raw
+streams from *equivalent* runs can interleave same-instant events of
+different servers differently. What is stable is each server's own
+event order. :func:`canonical_events` therefore stable-sorts by
 ``(t, server)``: per-server order is preserved, cross-server ties break
 by server id, and two equivalent runs canonicalize to the identical
 stream. Comparison then ignores ``seq``.
@@ -56,7 +54,8 @@ _DELIVERY_KINDS = frozenset({"commit", "enqueue_in", "reaction_commit"})
 
 
 def event_signature(event: TraceEvent) -> Tuple:
-    """The partition-independent content of one event (drops ``seq``)."""
+    """The recording-order-independent content of one event (drops
+    ``seq``)."""
     return (
         event.t, event.kind, event.server, event.nid, event.domain,
         event.src, event.dst, event.hop_seq, event.value,
@@ -73,10 +72,9 @@ def _identity(event: TraceEvent) -> Tuple:
 
 
 def canonical_events(dump: TraceDump) -> List[TraceEvent]:
-    """The dump's events in partition-independent canonical order: a
-    stable sort by ``(t, server)``. Per-server order (which both kernels
-    preserve) survives; cross-server same-instant ties become
-    deterministic."""
+    """The dump's events in canonical order: a stable sort by
+    ``(t, server)``. Per-server order survives; cross-server same-instant
+    ties become deterministic."""
     return sorted(dump.events, key=lambda e: (e.t, e.server))
 
 

@@ -51,10 +51,8 @@ MAX_AUTODUMPS = 3
 MAX_MATRIX_SIZE = 32
 
 _registered: List["weakref.ref[Tracer]"] = []
-# A counter object, not a rebound module int: shard workers dump flight
-# records too, and each process advancing its own post-fork copy is fine
-# (the pid in the artifact name disambiguates) — but it must not look
-# like a fork-boundary lost update to the R013 happens-before model.
+# Numbers this process's dumps; the pid in the artifact name tells
+# processes apart.
 _dump_counter = itertools.count(1)
 _dumping = False
 

@@ -189,7 +189,7 @@ class Replayer:
         #: domain -> {global server id: domain-local id}; the member list
         #: order in the meta *is* the domain's local-id order (the tracer
         #: records Domain.servers verbatim, and the builders emit members
-        #: ascending, which is also what the merged-parallel meta uses)
+        #: ascending)
         self._locals: Dict[str, Dict[int, int]] = {
             d: {s: i for i, s in enumerate(members)}
             for d, members in domains.items()

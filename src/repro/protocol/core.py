@@ -63,8 +63,8 @@ class CausalCore(abc.ABC):
     """The per-domain clock state class this core creates."""
 
     stamp_cls: Type[Stamp]
-    """The stamp class :meth:`stamp` returns. The sharded kernel ships
-    stamps across process pipes, so this class must stay picklable —
+    """The stamp class :meth:`stamp` returns. The model checker deep-copies
+    stamps with every explored state, so this class must stay picklable —
     rule R021 proves it statically."""
 
     causal: bool = True

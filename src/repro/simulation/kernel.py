@@ -1,29 +1,24 @@
 """The discrete-event kernel: a clock and a priority queue of callbacks.
 
-Events are ordered by a *partition-independent* key, so the same workload
-produces the same execution order whether one kernel runs the whole
-topology or several shard kernels each run a slice of it (see
-``repro/simulation/shard.py`` and docs/parallel.md):
+Events are ordered by a key built only from simulated quantities (time,
+owner, per-owner and per-link sequence numbers), never from insertion
+order across servers:
 
 ``(time, band, a, b, c)`` with three bands at equal time —
 
 - **band 0 — setup**: scripted/bootstrap events, keyed by
   ``(owner, per-owner sequence)``. The legacy :meth:`Simulator.schedule` /
   :meth:`Simulator.schedule_at` entry points land here under the anonymous
-  owner ``-1`` (fine for single-kernel callers: the per-owner counter then
-  reproduces plain scheduling order).
+  owner ``-1`` (the per-owner counter then reproduces plain scheduling
+  order).
 - **band 1 — server-local**: CPU completions, protocol timers — keyed by
   ``(server, per-server sequence)``. Everything in this band touches the
-  state of exactly one server, so the per-server counter advances
-  identically no matter which kernel hosts the server.
+  state of exactly one server.
 - **band 2 — network arrival**: keyed by ``(dst, src, per-link sequence)``.
-  The link sequence is assigned at *send* time by the network, so an
-  arrival injected from a remote shard carries the same key the sequential
-  kernel would have used.
+  The link sequence is assigned at *send* time by the network.
 
 Together with seeded, stream-keyed RNGs this makes every run bit-for-bit
-reproducible — and makes the sharded execution provably order-identical to
-the sequential one.
+reproducible.
 
 :class:`Processor` models one server's single-threaded CPU (one JVM in the
 paper's setup): submitted work executes back to back, so a burst of sends —
@@ -76,8 +71,8 @@ class EventHandle:
 
 
 class Simulator:
-    """The event loop. All simulated components of one shard share one
-    instance (the sequential path is simply the one-shard special case)."""
+    """The event loop. All simulated components of one bus share one
+    instance."""
 
     def __init__(self):
         self._now = 0.0
@@ -113,7 +108,7 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable, *args: Any) -> EventHandle:
         """Run ``fn(*args)`` ``delay`` ms from now (``delay >= 0``).
 
-        Band-0 under the anonymous owner; shard-safe code paths use the
+        Band-0 under the anonymous owner; bus code paths use the
         owner-explicit entry points below instead.
         """
         if delay < 0:
@@ -159,10 +154,8 @@ class Simulator:
     ) -> EventHandle:
         """Band-2 network arrival at ``dst`` from ``src``.
 
-        ``link_seq`` is the sender-assigned per-``(src, dst)`` sequence; the
-        resulting key is computable on any shard, which is what lets a
-        remote shard inject the arrival with the exact key the sequential
-        kernel would have produced.
+        ``link_seq`` is the sender-assigned per-``(src, dst)`` sequence, so
+        the key depends only on the link's own send order.
         """
         return self._push((time, BAND_ARRIVAL, dst, src, link_seq), fn, args)
 
@@ -204,39 +197,6 @@ class Simulator:
             self._running = False
         return fired
 
-    def run_window(
-        self, bound: float, max_events: Optional[int] = None
-    ) -> int:
-        """Process every event with time *strictly below* ``bound``.
-
-        The conservative-sync primitive: a shard granted the window
-        ``[now, bound)`` may fire everything before ``bound`` without risk
-        of a remote arrival landing inside the window (docs/parallel.md).
-        Unlike :meth:`run`, the clock is left at the last fired event so
-        later-injected arrivals at ``t >= bound`` still schedule cleanly.
-        """
-        if self._running:
-            raise SimulationError("Simulator.run() re-entered")
-        self._running = True
-        fired = 0
-        try:
-            while self._queue:
-                if max_events is not None and fired >= max_events:
-                    break
-                head = self._queue[0]
-                if head.time >= bound:
-                    break
-                heapq.heappop(self._queue)
-                if head.cancelled:
-                    continue
-                self._now = head.time
-                head.fn(*head.args)
-                fired += 1
-                self._processed += 1
-        finally:
-            self._running = False
-        return fired
-
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Drain the queue completely; guard against runaway event storms."""
         fired = self.run(max_events=max_events)
@@ -247,9 +207,7 @@ class Simulator:
         return fired
 
     def next_event_time(self) -> float:
-        """Earliest pending (non-cancelled) event time; ``inf`` when idle.
-
-        The shard coordinator's LBTS input."""
+        """Earliest pending (non-cancelled) event time; ``inf`` when idle."""
         queue = self._queue
         while queue and queue[0].cancelled:
             heapq.heappop(queue)
@@ -281,8 +239,8 @@ class Processor:
     time is accumulated for utilization reporting.
 
     ``owner`` is the server id whose timeline (band-1 key space) the
-    completions are attributed to; the default anonymous owner keeps
-    single-kernel callers (tests, baselines) working unchanged.
+    completions are attributed to; callers outside the bus (tests,
+    baselines) use the default anonymous owner.
     """
 
     __slots__ = (

@@ -123,9 +123,8 @@ class Samples:
     @property
     def mean(self) -> float:
         """Mean over the *sorted* values: a canonical summation order, so
-        the statistic depends only on the observation multiset — per-shard
-        sample sets merged in any order reproduce the sequential value bit
-        for bit (docs/parallel.md)."""
+        the statistic depends only on the observation multiset, never on
+        recording order."""
         if not self._values:
             return math.nan
         ordered = sorted(self._values)
@@ -199,8 +198,7 @@ class MetricsRegistry:
         """Flatten to ``{name: value}`` (counters) and
         ``{name.mean/.p50/.p99: value}`` (samples).
 
-        Keys are emitted in sorted order — first-touch order would depend
-        on which shard touched a metric first in a parallel run."""
+        Keys are emitted in sorted order, independent of first touch."""
         flat: Dict[str, float] = {}
         for name in sorted(self._counters):
             flat[name] = self._counters[name].value
@@ -211,27 +209,6 @@ class MetricsRegistry:
             flat[f"{name}.p50"] = samples.percentile(50)
             flat[f"{name}.p99"] = samples.percentile(99)
         return flat
-
-    def dump_state(self) -> Dict[str, Dict[str, object]]:
-        """Picklable contents, for shipping a shard's registry to the
-        coordinating process."""
-        return {
-            "counters": {n: c.value for n, c in self._counters.items()},
-            "samples": {n: list(s.values) for n, s in self._samples.items()},
-        }
-
-    def merge_state(self, state: Dict[str, Dict[str, object]]) -> None:
-        """Fold one shard's :meth:`dump_state` into this registry.
-
-        Counters add; sample sets concatenate (all summary statistics are
-        canonical in the observation multiset, so merge order is
-        irrelevant)."""
-        for name, value in state["counters"].items():
-            self.counter(name).add(int(value))
-        for name, values in state["samples"].items():
-            samples = self.samples(name)
-            for value in values:  # type: ignore[union-attr]
-                samples.record(value)
 
     def __repr__(self) -> str:
         return (

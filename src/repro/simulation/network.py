@@ -7,19 +7,9 @@ partitions exist to exercise the reliable transport and the channel's
 transactional recovery; the performance experiments run loss-free, like
 the paper's switched-Ethernet testbed.
 
-For the sharded kernel (docs/parallel.md) the network is *the* partition
-boundary: every cross-server interaction rides a packet, so homing servers
-to shards and teleporting packets between shard kernels is sufficient to
-distribute the whole simulation. Two pieces of metadata support that:
-
-- every latency model advertises ``min_ms`` (the conservative-sync
-  lookahead) and ``deterministic`` (whether sampling consumes the RNG —
-  only deterministic models are eligible for parallel runs, because the
-  per-shard RNG clones would otherwise be drawn in partition-dependent
-  order);
-- each transmitted packet is assigned a per-``(src, dst)`` link sequence
-  at send time, which keys the arrival event identically on every shard
-  layout (band 2 in ``repro.simulation.kernel``).
+Each transmitted packet is assigned a per-``(src, dst)`` link sequence at
+send time, which keys its arrival event (band 2 in
+``repro.simulation.kernel``) by the link's own send order.
 """
 
 from __future__ import annotations
@@ -33,15 +23,7 @@ from repro.simulation.kernel import Simulator
 
 
 class LatencyModel(abc.ABC):
-    """Samples one-way propagation delays, in milliseconds.
-
-    Attributes:
-        min_ms: a lower bound on every sample — the shard lookahead.
-        deterministic: True iff :meth:`sample` never touches the RNG.
-    """
-
-    min_ms: float = 0.0
-    deterministic: bool = False
+    """Samples one-way propagation delays, in milliseconds."""
 
     @abc.abstractmethod
     def sample(self, rng: random.Random) -> float:
@@ -51,13 +33,10 @@ class LatencyModel(abc.ABC):
 class ConstantLatency(LatencyModel):
     """Fixed delay — the default; keeps experiments noise-free."""
 
-    deterministic = True
-
     def __init__(self, ms: float):
         if ms < 0:
             raise SimulationError(f"latency must be >= 0, got {ms}")
         self.ms = ms
-        self.min_ms = ms
 
     def sample(self, rng: random.Random) -> float:
         return self.ms
@@ -74,7 +53,6 @@ class UniformLatency(LatencyModel):
             raise SimulationError(f"invalid latency range [{low}, {high}]")
         self.low = low
         self.high = high
-        self.min_ms = low
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
@@ -94,7 +72,6 @@ class ExponentialLatency(LatencyModel):
             )
         self.mean = mean
         self.floor = floor
-        self.min_ms = floor
 
     def sample(self, rng: random.Random) -> float:
         return self.floor + rng.expovariate(1.0 / self.mean)
@@ -174,15 +151,9 @@ class Network:
         link = (src, dst)
         seq = self._link_seq.get(link, 0)
         self._link_seq[link] = seq + 1
-        self._dispatch(self._sim.now + delay, src, dst, seq, packet)
-
-    def _dispatch(
-        self, time: float, src: int, dst: int, link_seq: int, packet: Any
-    ) -> None:
-        """Schedule the arrival. The shard network overrides this to divert
-        packets whose destination lives on another worker."""
         self._sim.schedule_arrival(
-            time, dst, src, link_seq, self._arrive, src, dst, packet
+            self._sim.now + delay, dst, src, seq,
+            self._arrive, src, dst, packet,
         )
 
     def _arrive(self, src: int, dst: int, packet: Any) -> None:

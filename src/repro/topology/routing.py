@@ -56,7 +56,6 @@ class _RoutingIndex:
 
     __slots__ = (
         "_n", "_members", "_domains_of", "_parents", "_trees", "_scans",
-        "scan_counts",
     )
 
     def __init__(
@@ -87,11 +86,6 @@ class _RoutingIndex:
             for server in members:
                 self._domains_of[server].append(di)
         self._parents: Dict[int, List[int]] = {}
-        #: per-destination scan counts of materialized trees. The scans of
-        #: one tree are a pure function of (topology, dest), so shard
-        #: workers that materialize overlapping destination sets can merge
-        #: their BFS cost accounting by dict union (repro.mom.parallel).
-        self.scan_counts: Dict[int, int] = {}
         # Eager connectivity check (the old builder raised while building
         # the first BFS tree; keep the same failure mode and message).
         first = servers[0]
@@ -146,7 +140,6 @@ class _RoutingIndex:
                     parents[neighbor] = current
                     order.append(neighbor)
         self._parents[dest] = parents
-        self.scan_counts[dest] = scans
         if self._trees is not None:
             self._trees.inc()
             assert self._scans is not None

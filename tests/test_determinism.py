@@ -12,6 +12,7 @@ import pytest
 from repro.bench import run_broadcast, run_remote_unicast
 from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
 from repro.mom.scenario import run_scenario
+from repro.mom.workloads import PingPongDriver
 from repro.simulation.network import UniformLatency
 from repro.topology import bus as bus_topology
 
@@ -101,3 +102,19 @@ class TestDeterminism:
         second = run_scenario(scenario)
         assert first.metrics == second.metrics
         assert first.bus.sim.now == second.bus.sim.now
+
+
+class TestRngIsolation:
+    def test_deterministic_runs_never_draw(self):
+        """Constant-latency, lossless runs consume zero random numbers: the
+        network stream is still at its seeded start after the run."""
+        mom = MessageBus(BusConfig(topology=bus_topology(12, 4)))
+        echo_id = mom.deploy(EchoAgent(), 9)
+        driver = PingPongDriver(3)
+        driver.bind(echo_id)
+        mom.deploy(driver, 0)
+        mom.start()
+        mom.run_until_idle()
+        state_before = mom.rng.stream("network").random()
+        fresh = mom.rng.__class__(mom.config.seed).stream("network").random()
+        assert state_before == fresh, "network stream was consumed mid-run"

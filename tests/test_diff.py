@@ -13,9 +13,7 @@ import pytest
 from repro.mom.agent import EchoAgent
 from repro.mom.bus import MessageBus
 from repro.mom.config import BusConfig
-from repro.mom.parallel import ShardedBus, make_bus
 from repro.mom.workloads import OpenLoopDriver, PingPongDriver, SinkAgent
-from repro.obs import shardmon
 from repro.obs.__main__ import main
 from repro.obs.diff import (
     canonical_events,
@@ -28,15 +26,8 @@ from repro.obs.tracer import attach
 from repro.topology import builders
 
 
-@pytest.fixture(autouse=True)
-def config_controls_parallel(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-
-
-def _config(parallel="off"):
-    return BusConfig(
-        topology=builders.bus(12, 4), parallel=parallel, workers=2
-    )
+def _config():
+    return BusConfig(topology=builders.bus(12, 4))
 
 
 def _churn(bus):
@@ -185,7 +176,7 @@ def test_stamp_corruption_is_found_and_classified(churn_dump, tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Equivalence: identical runs, and sequential vs merged-parallel
+# Equivalence: identical runs
 # ----------------------------------------------------------------------
 
 
@@ -195,35 +186,6 @@ def test_identical_dumps_diff_clean(churn_dump, tmp_path, capsys):
     path = _write(tmp_path, "same.jsonl", churn_dump)
     assert main(["diff", path, path]) == 0
     assert "causally identical" in capsys.readouterr().out
-
-
-def test_sequential_vs_merged_parallel_diff_clean(monkeypatch):
-    """The headline use: a sequential run and its REPRO_PARALLEL=2 twin
-    canonicalize to the identical stream — diff reports no divergence
-    even though the raw merged interleaving renumbers every seq."""
-    from repro.obs import install, is_installed, uninstall
-
-    seq_bus = _churn(MessageBus(_config()))
-    seq_tracer = attach(seq_bus)
-    seq_bus.start()
-    seq_bus.run_until_idle()
-    seq_dump = TraceDump.from_tracer(seq_tracer)
-
-    monkeypatch.setenv("REPRO_PARALLEL", "2")
-    installed_here = not is_installed()
-    if installed_here:
-        install()
-    try:
-        par_bus = _churn(make_bus(_config("auto")))
-        assert isinstance(par_bus, ShardedBus)
-        par_bus.start()
-        par_bus.run_until_idle()
-        par_dump = shardmon.merged_trace_dump(par_bus)
-    finally:
-        if installed_here:
-            uninstall()
-
-    assert diff_dumps(seq_dump, par_dump) is None
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Self-tests for the protocol linter (R001–R017).
+"""Self-tests for the protocol linter (R001–R023).
 
 Each rule gets a firing fixture, a non-firing fixture and a noqa
 fixture under ``tests/lint_fixtures/repro/...``; the directory layout
 mirrors the real package so that location-scoped rules resolve module
 names exactly as they do on ``src/``. The whole-program rules
-(R007/R008/R013/R014/R017) are exercised through :func:`lint_paths`
+(R007/R008/R018–R023) are exercised through :func:`lint_paths`
 over the fixture tree, which builds one project from every fixture
 file; the noqa escape hatch is covered by one parametric strip-noqa
 test that re-lints each ``r*_noqa.py`` fixture with its waiver removed.
@@ -22,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Diagnostic, lint_file, lint_paths, lint_source
+from repro.analysis.callgraph import ModuleInfo, Project
+from repro.analysis.contract import unpicklable_fields, unpicklable_reason
 from repro.analysis.lint import (
     apply_baseline,
     load_baseline,
@@ -257,46 +259,6 @@ class TestR012HoldbackLeak:
         assert rules_fired(FIXTURES / "mom" / "r012_noqa.py") == []
 
 
-class TestR013ForkBoundaryLostUpdate:
-    def test_fires_on_worker_module_writes(self, fixture_project_findings):
-        fired = fired_at(fixture_project_findings, "r013_bad.py")
-        assert fired.count("R013") == 2
-
-    def test_diagnostic_names_the_worker_entry(self, fixture_project_findings):
-        messages = [
-            d.message
-            for d in fixture_project_findings
-            if d.rule == "R013" and Path(d.path).name == "r013_bad.py"
-        ]
-        assert all("_r013_worker" in message for message in messages)
-
-    def test_pipe_shipped_results_are_fine(self, fixture_project_findings):
-        assert fired_at(fixture_project_findings, "r013_good.py") == []
-
-    def test_noqa_suppresses(self, fixture_project_findings):
-        assert fired_at(fixture_project_findings, "r013_noqa.py") == []
-
-
-class TestR014PipePickleSafety:
-    def test_fires_on_unpicklable_fields(self, fixture_project_findings):
-        fired = fired_at(fixture_project_findings, "r014_bad.py")
-        assert fired.count("R014") == 2
-
-    def test_diagnostic_names_the_reason(self, fixture_project_findings):
-        messages = " ".join(
-            d.message
-            for d in fixture_project_findings
-            if d.rule == "R014"
-        )
-        assert "lambda" in messages and "thread lock" in messages
-
-    def test_plain_data_and_local_scratch_pass(self, fixture_project_findings):
-        assert fired_at(fixture_project_findings, "r014_good.py") == []
-
-    def test_noqa_suppresses(self, fixture_project_findings):
-        assert fired_at(fixture_project_findings, "r014_noqa.py") == []
-
-
 class TestR015EpochDiscipline:
     def test_fires_on_unbumped_log_rebinds(self):
         fired = rules_fired(FIXTURES / "clocks" / "r015_bad.py")
@@ -317,30 +279,38 @@ class TestR015EpochDiscipline:
         assert findings == []
 
 
-class TestR016CoordinatorFlushDiscipline:
-    def test_fires_on_unflushed_grant_path(self):
-        fired = rules_fired(FIXTURES / "simulation" / "r016_bad.py")
-        assert fired.count("R016") == 1
-
-    def test_flush_dominating_grants_passes(self):
-        assert rules_fired(FIXTURES / "simulation" / "r016_good.py") == []
-
-    def test_noqa_suppresses(self):
-        assert rules_fired(FIXTURES / "simulation" / "r016_noqa.py") == []
+EPOCH_BUMP = "            self._log = []\n            self._log_epoch += 1\n"
 
 
-class TestR017ShardScopedStreams:
-    def test_fires_on_shared_stream_name(self, fixture_project_findings):
-        fired = fired_at(fixture_project_findings, "r017_bad.py")
-        assert fired.count("R017") == 1
+class TestSeededEpochBug:
+    """Reverting the epoch bump in ``MatrixClock._trim_log`` — the exact
+    bug the window-merge protocol guards against — must trip R015 on a
+    copy of the real source, while the unmodified copy stays clean."""
 
-    def test_scoped_name_and_sequential_guard_pass(
-        self, fixture_project_findings
-    ):
-        assert fired_at(fixture_project_findings, "r017_good.py") == []
+    @staticmethod
+    def _copy_matrix(tmp_path: Path) -> Path:
+        target = tmp_path / "repro" / "clocks" / "matrix.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(
+            (REPO_SRC / "repro" / "clocks" / "matrix.py").read_text()
+        )
+        return target
 
-    def test_noqa_suppresses(self, fixture_project_findings):
-        assert fired_at(fixture_project_findings, "r017_noqa.py") == []
+    def test_unmodified_copy_is_clean(self, tmp_path):
+        self._copy_matrix(tmp_path)
+        assert lint_paths([tmp_path / "repro"], select=["R015"]) == []
+
+    def test_reverted_epoch_bump_fires(self, tmp_path):
+        target = self._copy_matrix(tmp_path)
+        source = target.read_text()
+        assert EPOCH_BUMP in source, "matrix.py no longer matches the surgery"
+        target.write_text(
+            source.replace(EPOCH_BUMP, "            self._log = []\n")
+        )
+        findings = lint_paths([tmp_path / "repro"], select=["R015"])
+        assert [d.rule for d in findings] == ["R015"]
+        assert "_trim_log" not in findings[0].message  # message names the chain
+        assert "_log_epoch" in findings[0].message
 
 
 class TestR018CoreIsolation:
@@ -398,6 +368,58 @@ class TestR021StampPicklability:
 
     def test_noqa_suppresses(self, fixture_project_findings):
         assert fired_at(fixture_project_findings, "r021_noqa.py") == []
+
+
+class TestPicklability:
+    """The static picklability oracle behind R021, on a synthetic class."""
+
+    SOURCE = """\
+import threading
+
+
+class Payload:
+    def __init__(self):
+        self.rows = []
+        self.merge = lambda a, b: a + b
+        self.guard = threading.Lock()
+        self.pump = (x for x in range(3))
+        self.callback = self.close
+        self.nested = [1, threading.Event()]
+
+    def close(self):
+        pass
+"""
+
+    def _project(self):
+        return Project([
+            ModuleInfo(
+                module="repro.protocol.payloads",
+                path="repro/protocol/payloads.py",
+                tree=ast.parse(self.SOURCE),
+                source=self.SOURCE,
+            )
+        ])
+
+    def test_every_reason_is_found(self):
+        project = self._project()
+        cls = project.class_named("Payload")
+        reasons = {
+            field: why
+            for _, field, why in unpicklable_fields(project, cls)
+        }
+        assert reasons == {
+            "merge": "a lambda",
+            "guard": "a thread lock",
+            "pump": "a generator expression",
+            "callback": "the bound method self.close",
+            "nested": "a thread event",
+        }
+
+    def test_plain_data_has_no_reason(self):
+        project = self._project()
+        for text in ("[1, 2]", "dict(a=1)", "{'a': (1, 2)}"):
+            expr = ast.parse(text).body[0].value
+            assert unpicklable_reason(project, expr) is None
 
 
 class TestR022CoreRngTaint:
@@ -488,9 +510,6 @@ class TestFramework:
         assert {rule.rule_id for rule in PROJECT_RULES} == {
             "R007",
             "R008",
-            "R013",
-            "R014",
-            "R017",
             "R018",
             "R019",
             "R020",
@@ -498,7 +517,7 @@ class TestFramework:
             "R022",
             "R023",
         }
-        assert len(ALL_RULES) == 23
+        assert len(ALL_RULES) == 19
 
     def test_every_rule_has_a_firing_fixture(self, fixture_project_findings):
         all_fired = {d.rule for d in fixture_project_findings}
@@ -631,13 +650,13 @@ class TestChangedScope:
 
     def test_project_rules_stay_whole_program(self):
         """An out-of-scope file still feeds the project pass: its
-        worker entry points and taint sources must keep firing even
+        taint sources and core registrations must keep firing even
         when only one unrelated file is 'changed'."""
         changed = (FIXTURES / "mom" / "r001_bad.py").resolve()
         findings = lint_paths([FIXTURES], changed_only={changed})
         project_ids = {rule.rule_id for rule in PROJECT_RULES}
         fired = {d.rule for d in findings}
-        assert {"R007", "R013", "R014", "R017"} <= fired
+        assert {"R007", "R008", "R018", "R021"} <= fired
         for diagnostic in findings:
             in_scope = Path(diagnostic.path).resolve() == changed
             assert diagnostic.rule in project_ids or in_scope

@@ -115,3 +115,20 @@ class TestEdges:
         assert sum(count for _, _, count in hist.buckets()) == 4
         for lo, hi, _ in hist.buckets():
             assert lo < hi
+
+    def test_snapshot_is_recording_order_free(self):
+        """The running sum is an exact integer of 2**-20 quanta, so the
+        mean — like every other statistic — is bit-identical whatever
+        order the same values are recorded in (float summation would
+        round differently)."""
+        rng = random.Random(3)
+        values = [rng.uniform(0.01, 5000.0) for _ in range(500)]
+        snapshots = []
+        for order in range(3):
+            shuffled = list(values)
+            random.Random(order).shuffle(shuffled)
+            hist = LogHistogram("t")
+            for value in shuffled:
+                hist.record(value)
+            snapshots.append(hist.snapshot())
+        assert snapshots[0] == snapshots[1] == snapshots[2]

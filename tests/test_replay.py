@@ -6,9 +6,7 @@ produces *byte-identical* canonical JSON to a live bus of the same
 configuration running ``run(until=T)`` and taking
 :meth:`~repro.mom.bus.MessageBus.protocol_snapshot` — clock matrices,
 hold-back queues, in-flight sets and delivered prefixes included. The
-oracle is asserted for several scenario-zoo scenarios on sequential dumps
-*and* on ``REPRO_PARALLEL=2`` merged-parallel dumps
-(:func:`repro.obs.shardmon.merged_trace_dump`).
+oracle is asserted for several scenario-zoo scenarios.
 """
 
 import json
@@ -20,9 +18,7 @@ from repro.errors import ConfigurationError
 from repro.mom.agent import EchoAgent
 from repro.mom.bus import MessageBus
 from repro.mom.config import BusConfig
-from repro.mom.parallel import ShardedBus, make_bus
 from repro.mom.workloads import OpenLoopDriver, PingPongDriver, SinkAgent
-from repro.obs import shardmon
 from repro.obs.export import TraceDump
 from repro.obs.replay import (
     Replayer,
@@ -34,24 +30,15 @@ from repro.obs.tracer import attach
 from repro.topology import builders
 
 
-@pytest.fixture(autouse=True)
-def config_controls_parallel(monkeypatch):
-    """Pin execution mode via the config field (the CI parallel job sets
-    REPRO_PARALLEL suite-wide, which would shard the live oracle too)."""
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-
-
-def _config(parallel="off"):
+def _config():
     return BusConfig(
         topology=builders.bus(12, 4),
         record_delivered_log=True,
-        parallel=parallel,
-        workers=2,
     )
 
 
 # ----------------------------------------------------------------------
-# Scenario zoo (mirrors tests/test_parallel_differential.py)
+# Scenario zoo (a subset of tests/test_scenario_zoo.py)
 # ----------------------------------------------------------------------
 
 
@@ -84,12 +71,6 @@ SCENARIOS = {
     "crash_failover": _crash_failover,
 }
 
-#: crash scenarios are not shard-eligible-relevant here — they are, but
-#: the merged-dump matrix keeps to the steady-state scenarios plus one
-#: failover to bound runtime
-MERGED_SCENARIOS = ("pingpong", "churn", "crash_failover")
-
-
 def _sequential_dump(populate):
     """Record one traced sequential run; returns (dump, end_time)."""
     bus = populate(MessageBus(_config()))
@@ -97,28 +78,6 @@ def _sequential_dump(populate):
     bus.start()
     bus.run_until_idle()
     return TraceDump.from_tracer(tracer), bus.sim.now
-
-
-def _merged_dump(populate, monkeypatch):
-    """Record one REPRO_PARALLEL=2 sharded run; returns (dump, end)."""
-    from repro.obs import install, is_installed, uninstall
-
-    monkeypatch.setenv("REPRO_PARALLEL", "2")
-    installed_here = not is_installed()
-    if installed_here:
-        install()
-    try:
-        bus = populate(make_bus(_config("auto")))
-        assert isinstance(bus, ShardedBus), "scenario must be shard-eligible"
-        bus.start()
-        bus.run_until_idle()
-        dump = shardmon.merged_trace_dump(bus)
-        end = bus.sim.now
-    finally:
-        if installed_here:
-            uninstall()
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-    return dump, end
 
 
 def _oracle_points(replay, end):
@@ -148,15 +107,6 @@ def _assert_identity(dump, populate, end):
 def test_replay_identity_sequential(scenario):
     """Byte-equality of replayed and live state on sequential dumps."""
     dump, end = _sequential_dump(SCENARIOS[scenario])
-    _assert_identity(dump, SCENARIOS[scenario], end)
-
-
-@pytest.mark.parametrize("scenario", sorted(MERGED_SCENARIOS))
-def test_replay_identity_merged_parallel(scenario, monkeypatch):
-    """Byte-equality holds replaying a REPRO_PARALLEL=2 merged dump —
-    the merged ring carries exactly the sequential run's events, so the
-    live oracle stays the (bit-identical) sequential bus."""
-    dump, end = _merged_dump(SCENARIOS[scenario], monkeypatch)
     _assert_identity(dump, SCENARIOS[scenario], end)
 
 
