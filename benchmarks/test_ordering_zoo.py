@@ -18,19 +18,10 @@ the paper's whole design is about keeping True for less.
 import pytest
 
 from conftest import bench_once
-from repro.baselines.causal_histories import HistoryClock
 from repro.bench import run_baseline_unicast, run_remote_unicast
-from repro.mom.config import _CLOCKS
 
 N = 30
 ROUNDS = 10
-
-
-@pytest.fixture(autouse=True)
-def register_history_clock():
-    _CLOCKS["histories"] = HistoryClock
-    yield
-    _CLOCKS.pop("histories", None)
 
 
 @pytest.mark.parametrize("clock", ["matrix", "updates", "histories", "fifo"])

@@ -422,7 +422,6 @@ def _jittery_trace_extras() -> Dict[str, float]:
     flood one echo across a jittery single domain, so arrivals are
     out of order and the hold-back dwell histogram fills up."""
     from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
-    from repro.mom.workloads import PingPongDriver  # noqa: F401  (re-export)
     from repro.obs.tracer import attach as _attach
     from repro.simulation.network import UniformLatency
     from repro.topology import single_domain

@@ -10,40 +10,13 @@ deliberately cyclic topologies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Type
+from typing import Optional
 
-from repro.clocks.base import CausalClock
-from repro.clocks.matrix import MatrixClock
-from repro.clocks.updates import UpdatesClock
 from repro.errors import ConfigurationError
-from repro.protocol import AdHocCore, CausalCore, core_names, get_core, has_core
+from repro.protocol import CausalCore, core_names, get_core, has_core
 from repro.simulation.costs import CostModel
 from repro.simulation.network import ConstantLatency, LatencyModel
 from repro.topology.domains import Topology
-
-def _fifo_clock() -> Type[CausalClock]:
-    # imported lazily: baselines depend on clocks, not the reverse
-    from repro.baselines.local_fifo import FifoClock
-
-    return FifoClock
-
-
-# Legacy clock table, kept as a *mutable extension point*: a test (or an
-# experiment script) can drop a bare CausalClock subclass in here and boot
-# it without writing a CausalCore — `core` wraps it in an AdHocCore. The
-# registered cores in repro.protocol.cores are the first-class path and
-# win whenever the table entry matches the registered clock class.
-_CLOCKS: "dict[str, Optional[Type[CausalClock]]]" = {
-    "matrix": MatrixClock,
-    "updates": UpdatesClock,
-    # deliberately broken baseline (per-pair FIFO only, §2): boots, runs,
-    # and loses global causal order — for demonstrations and negative tests
-    "fifo": None,  # resolved lazily in clock_cls
-}
-
-
-def _algorithm_names() -> "list[str]":
-    return sorted(set(_CLOCKS) | set(core_names()))
 
 
 @dataclass
@@ -54,8 +27,10 @@ class BusConfig:
     """The domain decomposition (see :mod:`repro.topology.builders`)."""
 
     clock_algorithm: str = "matrix"
-    """``"matrix"`` (full-matrix stamps, §3's classical algorithm) or
-    ``"updates"`` (Appendix A delta stamps)."""
+    """Name of a registered :class:`~repro.protocol.core.CausalCore`:
+    ``"matrix"`` (full-matrix stamps, §3's classical algorithm),
+    ``"updates"`` (Appendix A delta stamps), ``"histories"`` or the
+    non-causal ``"fifo"`` baseline."""
 
     cost_model: CostModel = field(default_factory=CostModel)
     """Simulated-time constants (see :mod:`repro.simulation.costs`)."""
@@ -109,12 +84,10 @@ class BusConfig:
     it entirely; hot paths then pay one ``is not None`` check per edge."""
 
     def __post_init__(self):
-        if self.clock_algorithm not in _CLOCKS and not has_core(
-            self.clock_algorithm
-        ):
+        if not has_core(self.clock_algorithm):
             raise ConfigurationError(
                 f"unknown clock algorithm {self.clock_algorithm!r}; "
-                f"choose one of {_algorithm_names()}"
+                f"choose one of {core_names()}"
             )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError(
@@ -123,28 +96,9 @@ class BusConfig:
 
     @property
     def core(self) -> CausalCore:
-        """The :class:`~repro.protocol.core.CausalCore` selected by
-        :attr:`clock_algorithm`.
-
-        Resolution order: a ``_CLOCKS`` entry that *differs* from the
-        registered core's clock class is an explicit override and wins
-        (wrapped in an :class:`~repro.protocol.core.AdHocCore`);
-        otherwise the registered core is used directly.
-        """
-        name = self.clock_algorithm
-        if name in _CLOCKS:
-            cls = _CLOCKS[name]
-            if cls is None:
-                cls = _fifo_clock()
-            if has_core(name) and get_core(name).clock_cls is cls:
-                return get_core(name)
-            return AdHocCore(name, cls)
-        return get_core(name)
-
-    @property
-    def clock_cls(self) -> Type[CausalClock]:
-        """The clock class selected by :attr:`clock_algorithm`."""
-        return self.core.clock_cls
+        """The registered :class:`~repro.protocol.core.CausalCore` named
+        by :attr:`clock_algorithm`."""
+        return get_core(self.clock_algorithm)
 
     def latency_model(self) -> LatencyModel:
         """The effective latency model."""

@@ -142,6 +142,14 @@ def _build_agent(spec: Dict[str, Any]) -> Agent:
     raise ConfigurationError(f"unknown agent kind {kind!r}")
 
 
+def _agent_id(agent_ids: Dict[str, Any], name: Any, entry: str) -> Any:
+    """The deployed id of the agent called ``name``; ``entry`` says which
+    part of the scenario referenced it."""
+    if isinstance(name, str) and name in agent_ids:
+        return agent_ids[name]
+    raise ConfigurationError(f"{entry} names unknown agent {name!r}")
+
+
 def run_scenario(
     scenario: Union[Dict[str, Any], str, IO[str]],
     run: bool = True,
@@ -181,6 +189,8 @@ def run_scenario(
             raise ConfigurationError(
                 f"every agent needs a unique name (got {name!r})"
             )
+        if "server" not in spec:
+            raise ConfigurationError(f"agent {name!r} needs a server")
         agent = _build_agent(spec)
         agents[name] = agent
         agent_ids[name] = mom.deploy(agent, spec["server"])
@@ -188,23 +198,20 @@ def run_scenario(
     for spec in specs:
         agent = agents[spec["name"]]
         if isinstance(agent, PingPongDriver):
-            target = spec.get("target")
-            if target not in agent_ids:
-                raise ConfigurationError(
-                    f"pingpong agent {spec['name']!r} needs a valid target"
-                )
-            agent.bind(agent_ids[target])
+            entry = f"pingpong agent {spec['name']!r} target"
+            agent.bind(_agent_id(agent_ids, spec.get("target"), entry))
         elif isinstance(agent, BroadcastDriver):
             targets = spec.get("targets")
             if not targets:
                 raise ConfigurationError(
                     f"broadcast agent {spec['name']!r} needs targets"
                 )
-            agent.bind([agent_ids[t] for t in targets])
+            entry = f"broadcast agent {spec['name']!r} targets"
+            agent.bind([_agent_id(agent_ids, t, entry) for t in targets])
 
-    for send in scenario.get("sends", []):
-        sender = agent_ids[send["from"]]
-        target = agent_ids[send["to"]]
+    for index, send in enumerate(scenario.get("sends", [])):
+        sender = _agent_id(agent_ids, send.get("from"), f"sends[{index}].from")
+        target = _agent_id(agent_ids, send.get("to"), f"sends[{index}].to")
         mom.schedule_send(
             float(send.get("at", 0.0)), sender, target, send.get("payload")
         )

@@ -17,8 +17,8 @@ run is bit-identical to an untraced one — tracing never schedules events,
 never draws randomness, never touches the metrics registry.
 """
 
+from repro.metrics.histogram import LogHistogram
 from repro.obs.events import DEFAULT_CAPACITY, KINDS, EventRing, TraceEvent
-from repro.obs.histogram import LogHistogram
 from repro.obs.export import TraceDump, chrome_trace, read_jsonl, write_jsonl
 from repro.obs import flight_recorder
 from repro.obs.diff import (

@@ -22,9 +22,9 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
+from repro.metrics.histogram import LogHistogram
 from repro.obs import flight_recorder
 from repro.obs.events import DEFAULT_CAPACITY, EventRing, TraceEvent
-from repro.obs.histogram import LogHistogram
 
 if TYPE_CHECKING:
     from repro.mom.bus import MessageBus

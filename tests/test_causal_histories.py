@@ -121,37 +121,32 @@ class TestExhaustiveCorrectness:
 
 class TestInTheMom:
     def test_mom_runs_causally_on_history_clocks(self):
-        """Plugged into the bus via the clock registry, the history clock
-        passes the same end-to-end audit as the matrix clock — the
-        CausalClock interface is a real plug point."""
+        """Booted through its registered core, the history clock passes
+        the same end-to-end audit as the matrix clock — the CausalClock
+        interface is a real plug point."""
         from repro.mom import BusConfig, FunctionAgent, MessageBus
-        from repro.mom.config import _CLOCKS
         from repro.simulation.network import UniformLatency
         from repro.topology import single_domain
 
-        _CLOCKS["histories"] = HistoryClock
-        try:
-            config3 = BusConfig(
-                topology=single_domain(4),
-                clock_algorithm="histories",
-                seed=3,
-                latency=UniformLatency(0.1, 20.0),
-            )
-            mom = MessageBus(config3)
-            order = []
-            sink = FunctionAgent(lambda ctx, s, p: order.append(p))
-            sink_id = mom.deploy(sink, 3)
-            sender = FunctionAgent(lambda ctx, s, p: None)
+        config3 = BusConfig(
+            topology=single_domain(4),
+            clock_algorithm="histories",
+            seed=3,
+            latency=UniformLatency(0.1, 20.0),
+        )
+        mom = MessageBus(config3)
+        order = []
+        sink = FunctionAgent(lambda ctx, s, p: order.append(p))
+        sink_id = mom.deploy(sink, 3)
+        sender = FunctionAgent(lambda ctx, s, p: None)
 
-            def boot(ctx):
-                for i in range(8):
-                    ctx.send(sink_id, i)
+        def boot(ctx):
+            for i in range(8):
+                ctx.send(sink_id, i)
 
-            sender.on_boot = boot
-            mom.deploy(sender, 0)
-            mom.start()
-            mom.run_until_idle()
-            assert order == list(range(8))
-            assert mom.check_app_causality().respects_causality
-        finally:
-            _CLOCKS.pop("histories", None)
+        sender.on_boot = boot
+        mom.deploy(sender, 0)
+        mom.start()
+        mom.run_until_idle()
+        assert order == list(range(8))
+        assert mom.check_app_causality().respects_causality

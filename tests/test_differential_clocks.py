@@ -2,7 +2,7 @@
 
 The optimized clock core (:mod:`repro.clocks.matrix`,
 :mod:`repro.clocks.updates`) must be *observably identical* to the seed
-implementations preserved in :mod:`repro.clocks.reference` — same
+implementations preserved in :mod:`tests.reference_clocks` — same
 ``can_deliver`` / ``is_duplicate`` decisions, same delivered state, same
 ``dirty_cells`` accounting, same ``wire_cells`` (and cell payload) on
 every stamp — across arbitrary interleavings of sends, deliveries,
@@ -18,7 +18,7 @@ import copy
 from hypothesis import given, settings, strategies as st
 
 from repro.clocks.matrix import MatrixClock
-from repro.clocks.reference import ReferenceMatrixClock, ReferenceUpdatesClock
+from tests.reference_clocks import ReferenceMatrixClock, ReferenceUpdatesClock
 from repro.clocks.updates import UpdatesClock
 
 

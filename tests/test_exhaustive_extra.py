@@ -57,12 +57,12 @@ CHATTER = dict(
     react=chatter_react,
 )
 
-EXACT_CLOCKS = [MatrixClock, UpdatesClock, HistoryClock]
+EXACT_CLOCK_TYPES = [MatrixClock, UpdatesClock, HistoryClock]
 CLOCK_IDS = ["matrix", "updates", "histories"]
 
 
 class TestExhaustiveScenarios:
-    @pytest.mark.parametrize("clock_cls", EXACT_CLOCKS, ids=CLOCK_IDS)
+    @pytest.mark.parametrize("clock_cls", EXACT_CLOCK_TYPES, ids=CLOCK_IDS)
     @pytest.mark.parametrize(
         "scenario", [PINGPONG, CROSSING, CHATTER],
         ids=["pingpong", "crossing", "chatter"],
@@ -84,6 +84,6 @@ class TestExhaustiveScenarios:
         so they must admit precisely the same executions."""
         counts = {
             clock_cls.__name__: explore(clock_cls=clock_cls, **scenario).executions
-            for clock_cls in EXACT_CLOCKS
+            for clock_cls in EXACT_CLOCK_TYPES
         }
         assert len(set(counts.values())) == 1, counts

@@ -28,6 +28,14 @@ def base_scenario(**overrides):
     return scenario
 
 
+def ghost_send_scenario():
+    return {
+        "topology": {"kind": "flat", "servers": 3},
+        "agents": [{"name": "a", "kind": "echo", "server": 0}],
+        "sends": [{"from": "a", "to": "ghost"}],
+    }
+
+
 class TestRunScenario:
     def test_pingpong_scenario_completes(self):
         result = run_scenario(base_scenario())
@@ -129,6 +137,36 @@ class TestRunScenario:
         with pytest.raises(ConfigurationError, match="target"):
             run_scenario(scenario)
 
+    @pytest.mark.parametrize("end", ["from", "to"])
+    def test_unknown_send_endpoint_rejected(self, end):
+        scenario = base_scenario(sends=[{"from": "driver", "to": "echo"}])
+        scenario["sends"][0][end] = "ghost"
+        with pytest.raises(
+            ConfigurationError, match=rf"sends\[0\]\.{end} .*'ghost'"
+        ):
+            run_scenario(scenario)
+
+    def test_unknown_broadcast_target_rejected(self):
+        scenario = base_scenario()
+        scenario["agents"].append(
+            {
+                "name": "blaster",
+                "server": 1,
+                "kind": "broadcast",
+                "targets": ["echo", "ghost"],
+            }
+        )
+        with pytest.raises(
+            ConfigurationError, match="broadcast agent 'blaster'.*'ghost'"
+        ):
+            run_scenario(scenario)
+
+    def test_agent_without_server_rejected(self):
+        scenario = base_scenario()
+        del scenario["agents"][0]["server"]
+        with pytest.raises(ConfigurationError, match="'echo' needs a server"):
+            run_scenario(scenario)
+
     def test_run_false_returns_wired_bus(self):
         result = run_scenario(base_scenario(), run=False)
         assert result.bus.sim.now == 0.0
@@ -194,3 +232,11 @@ class TestScenarioCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"topology": {"kind": "torus", "servers": 3}}))
         assert mom_main([str(path)]) == 2
+
+    def test_cli_unknown_agent_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps(ghost_send_scenario()))
+        assert mom_main([str(path)]) == 2
+        assert "error: sends[0].to names unknown agent 'ghost'" in (
+            capsys.readouterr().err
+        )

@@ -86,11 +86,11 @@ class TestBusConfig:
     def test_clock_cls_resolution(self):
         from repro.clocks import MatrixClock, UpdatesClock
 
-        assert BusConfig(topology=single_domain(2)).clock_cls is MatrixClock
+        assert BusConfig(topology=single_domain(2)).core.clock_cls is MatrixClock
         assert (
             BusConfig(
                 topology=single_domain(2), clock_algorithm="updates"
-            ).clock_cls
+            ).core.clock_cls
             is UpdatesClock
         )
 
